@@ -8,7 +8,6 @@ second rack cohomology of small racks over the integers.
 """
 
 from .perm import (
-    CycleType,
     Permutation,
     compose,
     conjugate,
@@ -31,7 +30,6 @@ from .groups import (
     build_bsgs,
     conjugacy_class_list,
     conjugacy_orbit_contains,
-    membership,
     symmetric_group,
 )
 from .constructions import (
@@ -44,6 +42,7 @@ from .constructions import (
     projective_points,
     psl_order,
     psl_permutation_group,
+    seeded_conjugates,
 )
 from .rack import (
     FiniteRack,
@@ -52,7 +51,6 @@ from .rack import (
     class_rack,
     conjugation_rack,
     maximal_abelian_subrack_through,
-    rack_isomorphic,
     subrack_closure,
     type_d_pair,
     validate_rack,
@@ -85,7 +83,6 @@ from .acceptance import CRITERIA, CriterionResult, run_all, run_criterion
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycleType",
     "Permutation",
     "compose",
     "conjugate",
@@ -107,7 +104,6 @@ __all__ = [
     "build_bsgs",
     "conjugacy_class_list",
     "conjugacy_orbit_contains",
-    "membership",
     "symmetric_group",
     "NaturalClass",
     "ProjectivePointIndex",
@@ -118,13 +114,13 @@ __all__ = [
     "projective_points",
     "psl_order",
     "psl_permutation_group",
+    "seeded_conjugates",
     "FiniteRack",
     "TypeDResult",
     "TypeDWitness",
     "class_rack",
     "conjugation_rack",
     "maximal_abelian_subrack_through",
-    "rack_isomorphic",
     "subrack_closure",
     "type_d_pair",
     "validate_rack",

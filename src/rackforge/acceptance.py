@@ -13,7 +13,7 @@ import random
 import time
 import traceback
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial, gcd
 from typing import Callable, Optional
 
@@ -30,6 +30,7 @@ from .constructions import (
     natural_class,
     order_p_class_reps,
     psl_permutation_group,
+    seeded_conjugates,
 )
 from .groups import (
     alternating_conjugate,
@@ -38,7 +39,7 @@ from .groups import (
 )
 from .homology import boundary_matrices, second_cohomology_structure, smith_normal_form
 from .numth import cyclotomic_decompositions, cyclotomic_primes_below, jacobi
-from .perm import Permutation, conjugate
+from .perm import Permutation
 from .rack import (
     class_rack,
     conjugation_rack,
@@ -186,12 +187,9 @@ def _exhaustive_absence():
 
     t0 = time.monotonic()
     sigma = natural_class(11, 11).sigma
-    ambient = alternating_group(11)
-    rng = random.Random(0)
     allowed = {11, 660, 7920, factorial(11) // 2}
     spectrum = {}
-    for _ in range(10_000):
-        tau = conjugate(ambient.sample(rng), sigma)
+    for tau in islice(seeded_conjugates(11, 11, seed=0), 10_000):
         result = type_d_pair(sigma, tau)
         if result.verdict == "Witness":
             return False, "(11,11) sample produced a witness: tau = %s" % tau

@@ -14,9 +14,6 @@ class acts transitively on first coordinates.
 
 from __future__ import annotations
 
-import os
-import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from math import factorial
@@ -29,10 +26,10 @@ from .constructions import (
     order_p_class_reps,
     psl_order,
     psl_permutation_group,
+    seeded_conjugates,
 )
 from .groups import (
     alternating_conjugate,
-    alternating_group,
     build_bsgs,
     conjugacy_class_list,
 )
@@ -158,10 +155,10 @@ def _case_candidates(p, m, order):
         out.append(("ix", "M_24"))
     if m == p + 1:
         two_power = prime_power_decompose(m)
-        if two_power is not None and two_power[0] == 2 and order == m * p:
-            out.append(("x", "Frobenius(%d)" % (m * p)))
-        if two_power is not None and two_power[0] == 2 and two_power[1] != 3:
+        if two_power is not None and two_power[0] == 2:
             k = two_power[1]
+            if order == m * p:
+                out.append(("x", "Frobenius(%d)" % (m * p)))
             if order == m * psl_order(k, 2):
                 out.append(("xi", "2^%d:L_%d(2)" % (k, k)))
     if m == 3 and order == 6:
@@ -257,17 +254,6 @@ class SearchOutcome:
         return out
 
 
-def thread_count(threads=None):
-    """Worker count: explicit argument, else RACKFORGE_THREADS, else the
-    machine's available parallelism."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("RACKFORGE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _aligning_conjugator(source, target_degree=None):
     """A permutation g with g source g^-1 = the standard p-cycle, built by
     matching cycle orders; fixed points map to fixed points in sorted order.
@@ -296,55 +282,27 @@ def _normalize_pair(sigma, tau, p, m):
     return nat, new_tau
 
 
-def _scan_chunk(sigma, chunk, cap):
-    """Evaluate pairs (sigma, tau) for taus in an indexed chunk; returns
-    (first witness index or None, witness, indeterminate count)."""
-    indeterminate = 0
-    for idx, tau in chunk:
-        result = type_d_pair(sigma, tau, cap=cap)
+def _first_witness(sigma, taus):
+    """Test (sigma, tau) for each tau in order, stopping at the first
+    witness; returns (witness or None, pairs tested, indeterminate count)."""
+    tested = indet = 0
+    for tau in taus:
+        tested += 1
+        result = type_d_pair(sigma, tau)
         if result.verdict == "Witness":
-            return idx, result.witness, indeterminate
+            return result.witness, tested, indet
         if result.verdict == "Indeterminate":
-            indeterminate += 1
-    return None, None, indeterminate
+            indet += 1
+    return None, tested, indet
 
 
-def _parallel_scan(sigma, taus, threads, cap=10_000_000):
-    """Deterministic first-witness-by-index scan over candidate taus.
-
-    Candidates are pre-partitioned into fixed chunks, so the winning index
-    is independent of the worker count.
-    """
-    indexed = list(enumerate(taus))
-    total = len(indexed)
-    workers = thread_count(threads)
-    if workers <= 1 or total < 128:
-        idx, witness, indet = _scan_chunk(sigma, indexed, cap)
-        return witness, (idx + 1 if idx is not None else total), indet
-    chunk_size = max(64, total // (workers * 8))
-    chunks = [indexed[i : i + chunk_size] for i in range(0, total, chunk_size)]
-    hits = []
-    indet = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for idx, witness, chunk_indet in pool.map(
-            lambda ch: _scan_chunk(sigma, ch, cap), chunks
-        ):
-            indet += chunk_indet
-            if idx is not None:
-                hits.append((idx, witness))
-    if hits:
-        idx, witness = min(hits, key=lambda pair: pair[0])
-        # counted as if the scan stopped at the winner
-        return witness, idx + 1, indet
-    return None, total, indet
-
-
-def witness_search(p, m, strategy="subgroup", budget=None, seed=0, deep=False, threads=None):
+def witness_search(p, m, strategy="subgroup", budget=None, seed=0, deep=False):
     """Search the class of p-cycles at degree m for a pair satisfying both
     axioms, the first element pinned to the standard p-cycle.
 
     exhaustive: every class element as tau (proves absence when it
-    completes with no indeterminates); gated by deep beyond 100000 elements.
+    completes with no indeterminates); a run testing more than 100000
+    elements, the budget included, is gated by deep.
     random: seeded uniform conjugates of the standard cycle.
     subgroup: candidate pairs inside the linear groups attached to the
     cyclotomic decompositions of p, plus the affine Frobenius group when
@@ -356,46 +314,24 @@ def witness_search(p, m, strategy="subgroup", budget=None, seed=0, deep=False, t
     """
     spec = natural_class(p, m)
     sigma = spec.sigma
-    if strategy == "exhaustive":
-        if spec.class_size > DEEP_GATE and not deep:
-            raise ValueError(
-                "exhaustive search over %d elements needs deep=True" % spec.class_size
-            )
-        limit = spec.class_size if budget is None else min(budget, spec.class_size)
-        tested = 0
-        indet = 0
-        stream = class_elements(p, m)
-        # streamed in fixed batches to bound memory at deep class sizes
-        while tested < limit:
-            batch = list(islice(stream, min(16384, limit - tested)))
-            if not batch:
-                break
-            witness, scanned, batch_indet = _parallel_scan(sigma, batch, threads)
-            indet += batch_indet
-            if witness is not None:
-                tested += scanned
-                checked = _reverify(witness, p, m)
-                return SearchOutcome(
-                    p, m, strategy, "witness", checked, tested, indet, seed, budget
-                )
-            tested += len(batch)
-        if tested == spec.class_size and indet == 0:
-            return SearchOutcome(p, m, strategy, "absence", None, tested, indet, seed, budget)
-        return SearchOutcome(p, m, strategy, "exhausted", None, tested, indet, seed, budget)
-
-    if strategy == "random":
-        limit = 10_000 if budget is None else budget
-        rng = random.Random(seed)
-        ambient = alternating_group(m)
-        batch = []
-        for _ in range(limit):
-            g = ambient.sample(rng)
-            batch.append(conjugate(g, sigma))
-        witness, tested, indet = _parallel_scan(sigma, batch, threads)
+    if strategy in ("exhaustive", "random"):
+        if strategy == "exhaustive":
+            limit = spec.class_size if budget is None else min(budget, spec.class_size)
+            if limit > DEEP_GATE and not deep:
+                raise ValueError("exhaustive search over %d elements needs deep=True" % limit)
+            taus = class_elements(p, m)
+        else:
+            limit = 10_000 if budget is None else budget
+            taus = seeded_conjugates(p, m, seed)
+        witness, tested, indet = _first_witness(sigma, islice(taus, limit))
         if witness is not None:
-            checked = _reverify(witness, p, m)
-            return SearchOutcome(p, m, strategy, "witness", checked, tested, indet, seed, budget)
-        return SearchOutcome(p, m, strategy, "exhausted", None, tested, indet, seed, budget)
+            status = "witness"
+            witness = _reverify(witness, p, m)
+        elif strategy == "exhaustive" and tested == spec.class_size and indet == 0:
+            status = "absence"
+        else:
+            status = "exhausted"
+        return SearchOutcome(p, m, strategy, status, witness, tested, indet, seed, budget)
 
     if strategy == "subgroup":
         tested = 0
@@ -607,26 +543,25 @@ def _closure_size(sigma, tau, subgroup, m):
     return len(first) + len(conjugacy_class_list(subgroup, tau))
 
 
+def _class_or_sample(p, m, budget, seed):
+    """(taus, count, exhaustive): the whole class of the standard p-cycle
+    when it fits the budget (default 10000), else that many seeded
+    conjugates."""
+    spec = natural_class(p, m)
+    limit = 10_000 if budget is None else budget
+    if spec.class_size <= limit:
+        return class_elements(p, m), spec.class_size, True
+    return islice(seeded_conjugates(p, m, seed), limit), limit, False
+
+
 def subrack_census(p, m, budget=None, seed=0):
     """Histogram of (closure size, case tag) over pairs in the class, the
     first element pinned to the standard cycle.
 
     Exhaustive when the class size fits the budget (default 10000),
-    otherwise seeded uniform sampling; the report records which. For the
-    class of 7-cycles on 7 points every proper non-abelian closure must
-    have 24 elements, asserted here."""
-    spec = natural_class(p, m)
-    sigma = spec.sigma
-    limit = 10_000 if budget is None else budget
-    exhaustive = spec.class_size <= limit
-    if exhaustive:
-        taus = class_elements(p, m)
-        total = spec.class_size
-    else:
-        rng = random.Random(seed)
-        ambient = alternating_group(m)
-        taus = (conjugate(ambient.sample(rng), sigma) for _ in range(limit))
-        total = limit
+    otherwise seeded uniform sampling; the report records which."""
+    sigma = natural_class(p, m).sigma
+    taus, total, exhaustive = _class_or_sample(p, m, budget, seed)
     counter = {}
     for tau in taus:
         subgroup = build_bsgs([sigma, tau])
@@ -639,14 +574,6 @@ def subrack_census(p, m, budget=None, seed=0):
         CensusRow(closure_size=s, case_tag=t, subgroup_order=o, abelian=a, count=c)
         for (s, t, o, a), c in sorted(counter.items())
     )
-    if (p, m) == (7, 7) and exhaustive:
-        for row in rows:
-            if not row.abelian and row.closure_size != spec.class_size:
-                if row.closure_size != 24:
-                    raise AssertionError(
-                        "proper non-abelian closure of size %d in the 7-cycle class"
-                        % row.closure_size
-                    )
     return CensusReport(p=p, m=m, exhaustive=exhaustive, pairs=total, rows=rows)
 
 
@@ -693,18 +620,8 @@ class SquareCheckReport:
 
 def lemma_square_check(p, m, budget=None, seed=0):
     """Verify the square dichotomy over the class, first element pinned."""
-    spec = natural_class(p, m)
-    sigma = spec.sigma
-    limit = 10_000 if budget is None else budget
-    exhaustive = spec.class_size <= limit
-    if exhaustive:
-        taus = class_elements(p, m)
-        checked = spec.class_size
-    else:
-        rng = random.Random(seed)
-        ambient = alternating_group(m)
-        taus = (conjugate(ambient.sample(rng), sigma) for _ in range(limit))
-        checked = limit
+    sigma = natural_class(p, m).sigma
+    taus, checked, exhaustive = _class_or_sample(p, m, budget, seed)
     square_pairs = commuting = order_two = 0
     violations = []
     for tau in taus:

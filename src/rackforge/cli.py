@@ -18,6 +18,7 @@ import time
 from . import __version__
 from .acceptance import run_all, run_criterion
 from .classify import (
+    _reverify,
     classify_class,
     fw_identify,
     subrack_census,
@@ -107,32 +108,54 @@ def _cache_key(args):
     return "p=%d,m=%d,strategy=%s,seed=%d" % (args.p, args.m, args.strategy, args.seed)
 
 
-def _cache_load(path, key):
-    if not path or not os.path.exists(path):
+# what a malformed cache file or entry can raise on load
+_CACHE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, AssertionError)
+
+
+def _cache_entries(path):
+    """The entries of a cache file: {} when it is missing, None when it
+    cannot be read."""
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return dict(json.load(handle)["entries"])
+    except _CACHE_ERRORS:
         return None
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    entry = data.get("entries", {}).get(key)
+
+
+def _cache_load(path, key, p, m):
+    """The cached outcome for key, or None. Only witnesses are served, and
+    each is re-checked for (p, m) from scratch as a fresh search would be."""
+    if not path:
+        return None
+    entries = _cache_entries(path)
+    if entries is None:
+        _log("cache file %s is corrupt, searching again" % path)
+        return None
+    entry = entries.get(key)
     if entry is None:
         return None
-    if entry.get("witness"):
-        witness = TypeDWitness.from_json_dict(entry["witness"])
-        if not witness.verify():
-            _log("cache entry failed re-verification, searching again")
-            return None
+    try:
+        if entry["status"] != "witness":
+            raise ValueError("only witnesses are cached")
+        _reverify(TypeDWitness.from_json_dict(entry["witness"]), p, m)
+    except _CACHE_ERRORS:
+        _log("cache entry for %s failed re-verification, searching again" % key)
+        return None
     return entry
 
 
 def _cache_store(path, key, outcome_dict):
-    data = {"schema": SCHEMA, "entries": {}}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        data.setdefault("entries", {})
-    data["entries"][key] = outcome_dict
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=2)
+    """Add a witness outcome, writing a temporary file and renaming it over
+    the cache so an interrupted write never leaves a truncated file."""
+    entries = _cache_entries(path) or {}
+    entries[key] = outcome_dict
+    temporary = "%s.%d.tmp" % (path, os.getpid())
+    with open(temporary, "w", encoding="utf-8") as handle:
+        json.dump({"schema": SCHEMA, "entries": entries}, handle, sort_keys=True, indent=2)
         handle.write("\n")
+    os.replace(temporary, path)
 
 
 def _cmd_witness(args):
@@ -146,7 +169,7 @@ def _cmd_witness(args):
         "deep": args.deep,
     }
     key = _cache_key(args)
-    result = _cache_load(args.cache, key)
+    result = _cache_load(args.cache, key, args.p, args.m)
     if result is None:
         outcome = witness_search(
             args.p,
@@ -155,10 +178,9 @@ def _cmd_witness(args):
             budget=args.budget,
             seed=args.seed,
             deep=args.deep,
-            threads=args.threads,
         )
         result = outcome.to_json_dict()
-        if args.cache:
+        if args.cache and result["status"] == "witness":
             _cache_store(args.cache, key, result)
     else:
         _log("cache hit for %s" % key)
@@ -392,7 +414,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--deep", action="store_true", help="allow large exhaustions")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--cache", default=None, help="witness cache JSON path")
     common(p)
     p.set_defaults(func=_cmd_witness)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .gf import make_field, primitive_element
-from .groups import PermGroup, build_bsgs, conjugacy_orbit_contains
+from .groups import alternating_group, build_bsgs, conjugacy_orbit_contains
 from .numth import is_prime, prime_power_decompose
-from .perm import Permutation
+from .perm import Permutation, conjugate
 
 __all__ = [
     "ProjectivePointIndex",
@@ -28,6 +28,7 @@ __all__ = [
     "NaturalClass",
     "natural_class",
     "class_elements",
+    "seeded_conjugates",
 ]
 
 
@@ -261,3 +262,14 @@ def class_elements(p, m):
                 images[a - 1] = b - 1
             if Permutation(images).parity() == 1:
                 yield Permutation.cycle(list(cycle_points), m)
+
+
+def seeded_conjugates(p, m, seed=0):
+    """Endless seeded sample of the class of the standard p-cycle at degree
+    m: its conjugates by uniform elements of A_m drawn from
+    random.Random(seed), so a seed always gives the same sequence."""
+    sigma = natural_class(p, m).sigma
+    rng = random.Random(seed)
+    ambient = alternating_group(m)
+    while True:
+        yield conjugate(ambient.sample(rng), sigma)

@@ -17,10 +17,8 @@ from .numth import is_prime, prime_power_decompose
 __all__ = [
     "FieldSpec",
     "FieldElement",
-    "IndexBijection",
     "make_field",
     "primitive_element",
-    "index_bijection",
 ]
 
 
@@ -185,7 +183,7 @@ class FieldSpec:
         return self.element((0, 1))
 
     def element_at(self, index):
-        """Element with the given index in 1..q (see index_bijection)."""
+        """Element with the given index in 1..q, inverse to element_index."""
         if not 1 <= index <= self.q:
             raise ValueError("index %d out of range 1..%d" % (index, self.q))
         return FieldElement(self, _trim(_decode(index - 1, self.s, self.a)))
@@ -332,20 +330,3 @@ def primitive_element(field):
         ):
             return g
     raise AssertionError("no primitive element found, impossible")
-
-
-@dataclass(frozen=True)
-class IndexBijection:
-    """Bijection GF(q) <-> {1, ..., q} with zero at 1."""
-
-    field: FieldSpec
-
-    def to_index(self, e):
-        return self.field.element_index(e)
-
-    def from_index(self, i):
-        return self.field.element_at(i)
-
-
-def index_bijection(field):
-    return IndexBijection(field)

@@ -21,11 +21,9 @@ __all__ = [
     "PermGroup",
     "OrbitProbe",
     "build_bsgs",
-    "membership",
     "conjugacy_orbit_contains",
     "conjugacy_class_list",
     "alternating_conjugate",
-    "random_element",
     "alternating_group",
     "symmetric_group",
 ]
@@ -292,16 +290,6 @@ def build_bsgs(generators, degree=None):
     return PermGroup(degree, [Permutation(g) for g in gens], levels, tuple(range(degree)))
 
 
-def membership(group, x):
-    """Whether x lies in the group, by sifting through the chain."""
-    return group.contains(x)
-
-
-def random_element(group, rng):
-    """Exactly uniform element of the group, driven by the given RNG."""
-    return group.sample(rng)
-
-
 @dataclass(frozen=True)
 class OrbitProbe:
     """Outcome of a capped conjugacy orbit search."""
@@ -309,10 +297,6 @@ class OrbitProbe:
     answer: str  # 'yes' | 'no' | 'capped'
     visited: int
     cap: int
-
-    @property
-    def exhausted(self):
-        return self.answer in ("yes", "no") and self.answer != "capped"
 
 
 def conjugacy_orbit_contains(group, x, target, cap=10_000_000):

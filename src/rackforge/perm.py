@@ -8,16 +8,12 @@ function composition, compose(a, b) applies b first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 
 __all__ = [
     "Permutation",
-    "CycleType",
-    "CycleStructure",
     "compose",
     "conjugate",
-    "cycle_structure",
     "parse_cycles",
     "format_cycles",
 ]
@@ -194,60 +190,6 @@ class Permutation:
         return cls.from_one_based(images)
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Multiset of cycle lengths, fixed points included as 1s."""
-
-    lengths: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(sorted(self.lengths)))
-
-    @property
-    def degree(self):
-        return sum(self.lengths)
-
-    def nontrivial(self):
-        """Lengths with fixed points dropped."""
-        return tuple(l for l in self.lengths if l > 1)
-
-    def counts(self, include_fixed=True):
-        """(length, multiplicity) pairs, ascending by length."""
-        out = []
-        for l in self.lengths if include_fixed else self.nontrivial():
-            if out and out[-1][0] == l:
-                out[-1] = (l, out[-1][1] + 1)
-            else:
-                out.append((l, 1))
-        return out
-
-    def notation(self):
-        """Compact notation like '(1^2, 5)'."""
-        parts = []
-        for l, mult in self.counts():
-            parts.append("%d^%d" % (l, mult) if mult > 1 else str(l))
-        return "(" + ", ".join(parts) + ")"
-
-    @property
-    def splits_in_alternating(self):
-        """Whether the symmetric-class of this type splits into two
-        alternating-group classes: all lengths odd and pairwise distinct,
-        fixed points counted as length-1 cycles."""
-        ls = self.lengths
-        return all(l % 2 == 1 for l in ls) and len(set(ls)) == len(ls)
-
-    def __str__(self):
-        return self.notation()
-
-
-@dataclass(frozen=True)
-class CycleStructure:
-    cycle_type: CycleType
-    support: tuple
-    parity: int
-    order: int
-
-
 def compose(a, b):
     """Composite permutation applying b first: (a.b)(i) = a(b(i))."""
     if a.degree != b.degree:
@@ -265,17 +207,6 @@ def conjugate(g, x):
     for i in range(len(gi)):
         images[gi[i]] = gi[xi[i]]
     return Permutation(images)
-
-
-def cycle_structure(x):
-    """Cycle type (fixed points included), support, parity and order of x."""
-    lengths = [len(c) for c in x.cycles(include_fixed=True)]
-    return CycleStructure(
-        cycle_type=CycleType(tuple(lengths)),
-        support=x.support(),
-        parity=x.parity(),
-        order=x.order(),
-    )
 
 
 _TOKEN = re.compile(r"\(|\)|,|\s+|\d+")

@@ -11,12 +11,11 @@ p-cycle is the central example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from .constructions import class_elements, natural_class
 from .groups import build_bsgs, conjugacy_orbit_contains
-from .perm import Permutation, conjugate, format_cycles
+from .perm import Permutation, format_cycles
 
 __all__ = [
     "FiniteRack",
@@ -28,8 +27,6 @@ __all__ = [
     "TypeDResult",
     "TypeDWitness",
     "type_d_pair",
-    "power_map_candidates",
-    "rack_isomorphic",
 ]
 
 
@@ -81,9 +78,6 @@ class FiniteRack:
 
     def is_quandle(self):
         return all(row[x] == x for x, row in enumerate(self.table))
-
-    def label_of(self, x):
-        return self.labels[x] if self.labels is not None else str(x)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteRack):
@@ -379,150 +373,3 @@ def type_d_pair(sigma, tau, cap=10_000_000):
         witness=witness,
         subgroup_order=subgroup.order,
     )
-
-
-def power_map_candidates(rack_a, rack_b):
-    """Index bijections induced by g -> g^l between conjugation racks.
-
-    Natural first guesses for an isomorphism between class racks; they are
-    not homomorphisms in general, so each guess still needs checking.
-    Empty unless both racks carry permutations of one common order.
-    """
-    if rack_a.elements is None or rack_b.elements is None:
-        return []
-    if rack_a.size != rack_b.size:
-        return []
-    orders = {g.order() for g in rack_a.elements}
-    if len(orders) != 1:
-        return []
-    o = orders.pop()
-    index_b = {g: i for i, g in enumerate(rack_b.elements)}
-    out = []
-    for l in range(1, o):
-        if gcd(l, o) != 1:
-            continue
-        images = []
-        for g in rack_a.elements:
-            t = index_b.get(g**l)
-            if t is None:
-                break
-            images.append(t)
-        else:
-            if len(set(images)) == len(images):
-                out.append(tuple(images))
-    return out
-
-
-def _is_isomorphism(rack_a, rack_b, f):
-    n = rack_a.size
-    if len(f) != n or len(set(f)) != n:
-        return False
-    ta, tb = rack_a.table, rack_b.table
-    for x in range(n):
-        fx = f[x]
-        row_b = tb[fx]
-        row_a = ta[x]
-        for y in range(n):
-            if row_b[f[y]] != f[row_a[y]]:
-                return False
-    return True
-
-
-def _joint_refinement(rack_a, rack_b):
-    """Iterated color refinement of both tables with shared color ids.
-
-    Colors are stable under the operation in both directions, so any
-    isomorphism preserves them. Returns (colors_a, colors_b) or None when
-    the color multisets already rule an isomorphism out.
-    """
-    n = rack_a.size
-    ta, tb = rack_a.table, rack_b.table
-    ca = [0] * n
-    cb = [0] * n
-    while True:
-        table_of_ids = {}
-
-        def signature(colors, table, x):
-            row = table[x]
-            pairs = sorted(
-                (colors[y], colors[row[y]], colors[table[y][x]]) for y in range(n)
-            )
-            return (colors[x], tuple(pairs))
-
-        sigs_a = [signature(ca, ta, x) for x in range(n)]
-        sigs_b = [signature(cb, tb, x) for x in range(n)]
-        for s in sorted(set(sigs_a) | set(sigs_b)):
-            table_of_ids[s] = len(table_of_ids)
-        na = [table_of_ids[s] for s in sigs_a]
-        nb = [table_of_ids[s] for s in sigs_b]
-        if sorted(na) != sorted(nb):
-            return None
-        if na == ca and nb == cb:
-            return ca, cb
-        ca, cb = na, nb
-
-
-def rack_isomorphic(rack_a, rack_b, candidates=None):
-    """An operation-preserving bijection between the racks, or None.
-
-    Power maps between conjugation racks are tried first when available,
-    then candidate maps supplied by the caller, then a backtracking search
-    over color-refined classes.
-    """
-    if rack_a.size != rack_b.size:
-        return None
-    n = rack_a.size
-    tried = list(power_map_candidates(rack_a, rack_b))
-    if candidates:
-        tried.extend(tuple(c) for c in candidates)
-    for f in tried:
-        if _is_isomorphism(rack_a, rack_b, f):
-            return tuple(f)
-    refined = _joint_refinement(rack_a, rack_b)
-    if refined is None:
-        return None
-    ca, cb = refined
-    class_size = {}
-    for c in ca:
-        class_size[c] = class_size.get(c, 0) + 1
-    order = sorted(range(n), key=lambda x: (class_size[ca[x]], ca[x], x))
-    ta, tb = rack_a.table, rack_b.table
-    f = [None] * n
-    finv = [None] * n
-
-    def consistent(x):
-        """Check every constraint touching x among assigned vertices: images
-        must agree where decided, and undecided images must not demand a
-        target already claimed elsewhere or of the wrong color."""
-        for y in range(n):
-            if f[y] is None:
-                continue
-            for s, t in ((x, y), (y, x)):
-                a_val = ta[s][t]
-                b_val = tb[f[s]][f[t]]
-                img = f[a_val]
-                if img is not None:
-                    if img != b_val:
-                        return False
-                elif finv[b_val] is not None or ca[a_val] != cb[b_val]:
-                    return False
-        return True
-
-    def extend(k):
-        if k == n:
-            return True
-        x = order[k]
-        for u in range(n):
-            if finv[u] is not None or cb[u] != ca[x]:
-                continue
-            f[x] = u
-            finv[u] = x
-            if consistent(x) and extend(k + 1):
-                return True
-            f[x] = None
-            finv[u] = None
-        return False
-
-    if extend(0):
-        return tuple(f)
-    return None

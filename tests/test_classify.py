@@ -1,5 +1,4 @@
 import dataclasses
-import os
 import random
 
 import pytest
@@ -13,13 +12,13 @@ from rackforge.classify import (
     regular_product_check,
     subrack_census,
     symmetric_group_witness,
-    thread_count,
     witness_search,
 )
 from rackforge.constructions import natural_class
 from rackforge.groups import build_bsgs
 from rackforge.numth import is_prime, prime_power_decompose, primes_below
 from rackforge.perm import Permutation, conjugate, format_cycles
+from rackforge.rack import type_d_pair
 
 
 VERIFIED_TABLE = {
@@ -150,6 +149,20 @@ def test_fw_identify_frobenius_case():
     assert case.m == 8
 
 
+def test_fw_identify_affine_case_at_eight_points():
+    # 2^3:L_3(2), the affine group of order 1344, matches row (xi)
+    sigma = Permutation.from_cycles("(1 2 3 4 5 6 7)", 8)
+    tau = Permutation.from_cycles("(1 2 3 5 4 6 8)", 8)
+    case = fw_identify(sigma, tau)
+    assert case.tag == "xi"
+    assert case.order == 1344
+    assert case.names == ("2^3:L_3(2)",)
+    closure = _tuple_closure(
+        [_tuple_cycle([1, 2, 3, 4, 5, 6, 7], 8), _tuple_cycle([1, 2, 3, 5, 4, 6, 8], 8)]
+    )
+    assert len(closure) == case.order
+
+
 def test_fw_identify_rejects_non_p_cycles():
     with pytest.raises(ValueError):
         fw_identify(
@@ -176,10 +189,18 @@ def test_witness_search_exhaustive_budget_cutoff():
 
 
 def test_witness_search_deep_gate():
+    assert DEEP_GATE == 100_000
     with pytest.raises(ValueError):
         witness_search(11, 11, strategy="exhaustive")
     with pytest.raises(ValueError):
         witness_search(11, 12, strategy="exhaustive", budget=10**7)
+    # the gate applies to the pairs a run would test, not the class size
+    out = witness_search(11, 11, strategy="exhaustive", budget=300)
+    assert out.status == "exhausted"
+    assert out.pairs_tested == 300
+    assert out.indeterminate == 0
+    with pytest.raises(ValueError):
+        witness_search(11, 11, strategy="exhaustive", budget=DEEP_GATE + 1)
 
 
 def test_witness_search_subgroup_strategy():
@@ -212,12 +233,22 @@ def test_witness_search_is_deterministic():
     assert a.pairs_tested == b.pairs_tested
 
 
-def test_witness_search_thread_count_does_not_change_result():
-    one = witness_search(7, 8, strategy="exhaustive", threads=1)
-    four = witness_search(7, 8, strategy="exhaustive", threads=4)
-    assert one.status == four.status == "witness"
-    assert one.witness.tau == four.witness.tau
-    assert one.pairs_tested == four.pairs_tested
+def test_witness_search_exhaustive_stops_at_the_first_witness(monkeypatch):
+    # the scan is serial, so it tests exactly the pairs up to the witness
+    from rackforge import classify
+
+    calls = []
+
+    def counted(sigma, tau, **kwargs):
+        calls.append(tau)
+        return type_d_pair(sigma, tau, **kwargs)
+
+    monkeypatch.setattr(classify, "type_d_pair", counted)
+    out = witness_search(7, 8, strategy="exhaustive")
+    assert out.status == "witness"
+    assert out.pairs_tested == len(calls) == 435
+    assert calls[-1] == out.witness.tau
+    assert format_cycles(out.witness.tau) == "(1 3 4 2 8 6 5)"
 
 
 def test_witness_search_rejects_unknown_strategy():
@@ -233,20 +264,6 @@ def test_search_agrees_with_classification_at_desk_scale():
             assert out.status == "witness"
         else:
             assert out.status == "absence"
-
-
-def test_thread_count_resolution():
-    assert thread_count(3) == 3
-    old = os.environ.pop("RACKFORGE_THREADS", None)
-    try:
-        os.environ["RACKFORGE_THREADS"] = "2"
-        assert thread_count() == 2
-        del os.environ["RACKFORGE_THREADS"]
-        assert thread_count() >= 1
-    finally:
-        if old is not None:
-            os.environ["RACKFORGE_THREADS"] = old
-    assert DEEP_GATE == 100_000
 
 
 def test_symmetric_group_witness_frozen_pair():
@@ -373,6 +390,23 @@ def _tuple_order(x):
     return k
 
 
+def _tuple_closure(gens):
+    """Every product of the generators, by breadth-first right
+    multiplication; a finite set closed under products is a group."""
+    seen = set(gens)
+    frontier = list(gens)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = _tuple_compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
 def test_square_pair_counterexample_by_brute_force_closure():
     # plain tuples and a breadth-first closure, sharing no code with the
     # package: a square pair whose product is an involution generates all
@@ -383,18 +417,7 @@ def test_square_pair_counterexample_by_brute_force_closure():
     assert _tuple_compose(st, st) == _tuple_compose(ts, ts)
     assert st != ts
     assert _tuple_order(st) == 2
-    seen = {s, t}
-    frontier = [s, t]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in (s, t):
-                y = _tuple_compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    assert len(seen) == 2520
+    assert len(_tuple_closure([s, t])) == 2520
 
 
 def test_square_criterion_reports_the_involution_branch_spectrum():

@@ -90,10 +90,6 @@ def test_witness_reports_are_byte_identical_minus_clock(capsys):
     _, first, _ = run_json(capsys, *args)
     _, second, _ = run_json(capsys, *args)
     assert strip_clock(first) == strip_clock(second)
-    _, threaded, _ = run_json(capsys, *args, "--threads", "4")
-    config_free = {k: v for k, v in strip_clock(first).items() if k != "config"}
-    threaded_free = {k: v for k, v in strip_clock(threaded).items() if k != "config"}
-    assert config_free == threaded_free
 
 
 def test_witness_cache_roundtrip(tmp_path, capsys):
@@ -111,6 +107,49 @@ def test_witness_cache_roundtrip(tmp_path, capsys):
     assert strip_clock(second)["result"] == strip_clock(first)["result"]
 
 
+SEARCH_13 = ("witness", "--p", "13", "--m", "13", "--strategy", "random", "--budget", "5", "--json")
+KEY_13 = "p=13,m=13,strategy=random,seed=0"
+
+
+def write_cache(path, key, entry):
+    path.write_text(json.dumps({"schema": 1, "entries": {key: entry}}))
+
+
+def test_witness_cache_never_serves_an_absence(tmp_path, capsys):
+    cache = tmp_path / "witness.json"
+    write_cache(cache, KEY_13, {"status": "absence", "witness": None})
+    code, cached, err = run_json(capsys, *SEARCH_13, "--cache", str(cache))
+    assert "searching again" in err
+    _, fresh, _ = run_json(capsys, *SEARCH_13)
+    assert cached["result"] == fresh["result"]
+    assert cached["result"]["status"] != "absence"
+    assert code == (0 if fresh["result"]["status"] == "witness" else 2)
+
+
+def test_witness_cache_rejects_a_witness_of_another_class(tmp_path, capsys):
+    cache = tmp_path / "witness.json"
+    _, found, _ = run_json(capsys, "witness", "--p", "7", "--m", "8", "--json")
+    assert found["result"]["status"] == "witness"
+    write_cache(cache, KEY_13, found["result"])
+    _, cached, err = run_json(capsys, *SEARCH_13, "--cache", str(cache))
+    assert "searching again" in err
+    _, fresh, _ = run_json(capsys, *SEARCH_13)
+    assert cached["result"] == fresh["result"]
+
+
+def test_witness_cache_recovers_from_a_truncated_file(tmp_path, capsys):
+    cache = tmp_path / "witness.json"
+    args = ("witness", "--p", "7", "--m", "8", "--cache", str(cache), "--json")
+    _, first, _ = run_json(capsys, *args)
+    cache.write_text(cache.read_text()[:40])
+    code, second, err = run_json(capsys, *args)
+    assert code == 0
+    assert "corrupt" in err
+    assert second["result"] == first["result"]
+    assert list(json.loads(cache.read_text())["entries"]) == ["p=7,m=8,strategy=subgroup,seed=0"]
+    assert list(tmp_path.iterdir()) == [cache]
+
+
 def test_census_json(capsys):
     code, report, _ = run_json(capsys, "census", "--p", "5", "--m", "5", "--json")
     assert code == 0
@@ -119,6 +158,17 @@ def test_census_json(capsys):
     assert result["pairs"] == 12
     sizes = {row["closure_size"]: row["count"] for row in result["rows"]}
     assert sizes == {1: 1, 2: 1, 12: 10}
+
+
+def test_census_identifies_every_pair_at_eight_points(capsys):
+    # the 252 pairs generating 2^3:L_3(2) have row (xi)
+    code, report, _ = run_json(capsys, "census", "--p", "7", "--m", "8", "--json")
+    assert code == 0
+    result = report["result"]
+    assert result["exhaustive"] is True
+    assert sum(row["count"] for row in result["rows"]) == result["pairs"] == 2880
+    affine = [row for row in result["rows"] if row["case_tag"] == "xi"]
+    assert [(row["subgroup_order"], row["count"]) for row in affine] == [(1344, 252)]
 
 
 def test_census_human_table(capsys):

@@ -12,7 +12,8 @@ from rackforge.homology import (
     second_homology,
     smith_normal_form,
 )
-from rackforge.rack import FiniteRack, class_rack, subrack_closure
+from rackforge.perm import Permutation
+from rackforge.rack import FiniteRack, class_rack, conjugation_rack, subrack_closure
 
 
 def minor_gcd_factors(dense):
@@ -128,6 +129,80 @@ def test_second_homology_of_cyclic_rack():
         h = second_homology(FiniteRack(table))
         assert h.free_rank == 1
         assert h.torsion in ((), (n,))
+
+
+def inner_orbit_count(rack):
+    """Orbits of the inner group, generated by the table rows, by
+    breadth-first search on the table."""
+    seen = set()
+    orbits = 0
+    for start in range(rack.size):
+        if start in seen:
+            continue
+        orbits += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            y = queue.pop()
+            for row in rack.table:
+                if row[y] not in seen:
+                    seen.add(row[y])
+                    queue.append(row[y])
+    return orbits
+
+
+def conjugation_closure(perms):
+    """The smallest set of permutations containing perms and closed under
+    conjugating one member by another."""
+    members = set(perms)
+    while True:
+        grown = members | {g * h * g.inverse() for g in members for h in members}
+        if grown == members:
+            return sorted(members, key=lambda g: g.images)
+        members = grown
+
+
+def three_cycles_of_a4():
+    return [
+        Permutation.from_cycles("(%d %d %d)" % (a, b, c), 4)
+        for a, b, c in ((1, 2, 3), (1, 3, 2), (1, 2, 4), (1, 4, 2),
+                        (1, 3, 4), (1, 4, 3), (2, 3, 4), (2, 4, 3))
+    ]
+
+
+def small_conjugation_racks(count, seed):
+    """Seeded racks closed from two random permutations of 4 or 5 points,
+    kept to at most 12 elements."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        degree = rng.choice((4, 5))
+        pair = []
+        for _ in range(2):
+            images = list(range(degree))
+            rng.shuffle(images)
+            pair.append(Permutation(images))
+        members = conjugation_closure(pair)
+        if len(members) <= 12:
+            out.append(conjugation_rack(members))
+    return out
+
+
+def test_free_rank_of_second_homology_is_orbit_count_squared():
+    # Etingof-Grana: the rational Betti numbers of a finite rack are
+    # |X/Inn(X)|^n, so H_2 has free rank (number of orbits)^2
+    a4 = conjugation_rack(three_cycles_of_a4())
+    h = second_homology(a4)
+    assert inner_orbit_count(a4) == 2
+    assert (h.free_rank, h.torsion) == (4, (2, 2))
+    racks = [class_rack(5, 5), FiniteRack([[(y + 1) % 4 for y in range(4)]] * 4)]
+    racks += small_conjugation_racks(8, seed=71)
+    orbit_counts = set()
+    for rack in racks:
+        orbits = inner_orbit_count(rack)
+        orbit_counts.add(orbits)
+        assert second_homology(rack).free_rank == orbits**2, rack.table
+    assert len(orbit_counts) > 1
 
 
 def test_five_cycle_class_golden_value():
