@@ -215,11 +215,15 @@ def _dense_smith(a):
 def smith_normal_form(matrix):
     """Invariant factors and rank of an integer matrix, exactly.
 
-    Two phases: sparse elimination on unit entries chosen by least fill-in
-    (a unit is always a least-absolute-value pivot, and clearing its column
-    makes the row clear by column operations that touch nothing else), then
-    textbook reduction of the small residual core. The divisibility chain
-    d1 | d2 | ... is normalized pairwise before returning.
+    Two phases: sparse elimination on unit entries, then textbook reduction
+    of the small residual core. Each unit pivot is taken from the shortest
+    row holding a +-1 entry, at the unit whose column has the fewest
+    entries; rows live in buckets by length, and a unit-free row is not
+    scanned again until elimination changes it. A unit is always a
+    least-absolute-value pivot, and clearing its column makes the row clear
+    by column operations that touch nothing else, so every such step is
+    unimodular and the pivot order changes only the time. The divisibility
+    chain d1 | d2 | ... is normalized pairwise before returning.
     """
     if isinstance(matrix, IntegerMatrix):
         entries = matrix.entries
@@ -231,41 +235,49 @@ def smith_normal_form(matrix):
         row_data.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
 
+    # rows that may hold a unit, bucketed by length; a row found unit-free
+    # leaves its bucket and comes back only when elimination changes it
+    buckets = {}
+    for r, row in row_data.items():
+        buckets.setdefault(len(row), set()).add(r)
+
     units = 0
-    while True:
-        best = None
-        for r, row in row_data.items():
-            row_cost = len(row) - 1
-            for c, v in row.items():
-                if v == 1 or v == -1:
-                    cost = row_cost * (len(col_rows[c]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, r, c, v)
-                        if cost == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, r, c, v = best
-        pivot_row = row_data.pop(r)
+    while buckets:
+        length = min(buckets)
+        bucket = buckets[length]
+        r = bucket.pop()
+        if not bucket:
+            del buckets[length]
+        pivot_row = row_data[r]
+        unit_cols = [c for c, v in pivot_row.items() if v == 1 or v == -1]
+        if not unit_cols:
+            continue
+        c = min(unit_cols, key=lambda cc: len(col_rows[cc]))
+        v = pivot_row[c]
+        del row_data[r]
         for cc in pivot_row:
             col_rows[cc].discard(r)
-        for s in list(col_rows.get(c, ())):
+        for s in list(col_rows[c]):
             row_s = row_data[s]
+            old = buckets.get(len(row_s))
+            if old is not None:
+                old.discard(s)
+                if not old:
+                    del buckets[len(row_s)]
             f = row_s[c] * v
             for cc, vv in pivot_row.items():
                 nv = row_s.get(cc, 0) - f * vv
                 if nv:
                     row_s[cc] = nv
-                    col_rows.setdefault(cc, set()).add(s)
-                else:
-                    if cc in row_s:
-                        del row_s[cc]
-                        col_rows[cc].discard(s)
-            if not row_s:
+                    col_rows[cc].add(s)
+                elif cc in row_s:
+                    del row_s[cc]
+                    col_rows[cc].discard(s)
+            if row_s:
+                buckets.setdefault(len(row_s), set()).add(s)
+            else:
                 del row_data[s]
-        col_rows.pop(c, None)
+        del col_rows[c]
         units += 1
 
     factors = [1] * units

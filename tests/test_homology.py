@@ -188,6 +188,15 @@ def small_conjugation_racks(count, seed):
     return out
 
 
+def twentyfour_subrack():
+    """The first 24-element closure of the standard 7-cycle with another
+    element of the (7,7) class, as a rack on 0..23."""
+    r = class_rack(7, 7)
+    partner = next(y for y in range(r.size) if len(subrack_closure(r, [0, y])) == 24)
+    members = sorted(subrack_closure(r, [0, partner]))
+    return FiniteRack([[members.index(r.act(x, y)) for y in members] for x in members])
+
+
 def test_free_rank_of_second_homology_is_orbit_count_squared():
     # Etingof-Grana: the rational Betti numbers of a finite rack are
     # |X/Inn(X)|^n, so H_2 has free rank (number of orbits)^2
@@ -195,7 +204,11 @@ def test_free_rank_of_second_homology_is_orbit_count_squared():
     h = second_homology(a4)
     assert inner_orbit_count(a4) == 2
     assert (h.free_rank, h.torsion) == (4, (2, 2))
-    racks = [class_rack(5, 5), FiniteRack([[(y + 1) % 4 for y in range(4)]] * 4)]
+    racks = [
+        class_rack(5, 5),
+        twentyfour_subrack(),
+        FiniteRack([[(y + 1) % 4 for y in range(4)]] * 4),
+    ]
     racks += small_conjugation_racks(8, seed=71)
     orbit_counts = set()
     for rack in racks:
@@ -213,16 +226,7 @@ def test_five_cycle_class_golden_value():
 
 
 def test_twentyfour_subrack_golden_value():
-    r = class_rack(7, 7)
-    partner = None
-    for y in range(r.size):
-        if len(subrack_closure(r, [0, y])) == 24:
-            partner = y
-            break
-    assert partner is not None
-    members = sorted(subrack_closure(r, [0, partner]))
-    table = [[members.index(r.act(x, y)) for y in members] for x in members]
-    structure = second_cohomology_structure(FiniteRack(table))
+    structure = second_cohomology_structure(twentyfour_subrack())
     assert structure.free_rank == 1
     assert structure.torsion == (14,)
     assert structure.pretty == "k^× × G_14"
@@ -249,6 +253,88 @@ def test_homology_result_validation():
         HomologyResult(free_rank=0, torsion=(1,))
     with pytest.raises(ValueError):
         HomologyResult(free_rank=0, torsion=(4, 6))
+
+
+def scrambled_diagonal(chain, rows, cols, rng):
+    """U . D . V for D the rows x cols matrix with chain on its diagonal, U
+    and V products of random elementary operations (add +-1 or +-2 times
+    one row, or column, to another)."""
+    a = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(chain):
+        a[i][i] = d
+    for _ in range(rows + cols):
+        k = rng.choice((-2, -1, 1, 2))
+        i, j = rng.sample(range(rows), 2)
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        i, j = rng.sample(range(cols), 2)
+        for row in a:
+            row[i] += k * row[j]
+    return a
+
+
+def with_redundant_columns(a, rng, extra):
+    """a with zero, repeated and negated columns appended in turn, then the
+    columns shuffled: the column lattice, hence the Smith form, is kept."""
+    cols = [list(col) for col in zip(*a)]
+    for t in range(extra):
+        col = rng.choice(cols)
+        cols.append(([0] * len(col), col[:], [-v for v in col])[t % 3])
+    rng.shuffle(cols)
+    return [list(row) for row in zip(*cols)]
+
+
+def test_smith_normal_form_recovers_a_scrambled_diagonal():
+    # sizes beyond the minor-gcd oracle, whose answer is known by construction
+    rng = random.Random(64)
+    for rows, cols in ((10, 30), (20, 60), (30, 90), (40, 120)):
+        for scale in (1, 2):
+            for _ in range(3):
+                rank = rng.randrange(rows // 2, rows + 1)
+                tail = rng.choice(((), (2,), (2, 2, 6), (3, 6), (2, 4, 12)))
+                chain = tuple(scale * d for d in (1,) * (rank - len(tail)) + tail)
+                a = scrambled_diagonal(chain, rows, cols, rng)
+                if scale == 2:
+                    # no unit entry, so the dense core does all the work
+                    assert all(v % 2 == 0 for row in a for v in row)
+                b = with_redundant_columns(a, rng, cols // 3)
+                assert smith_normal_form(a) == (chain, rank)
+                assert smith_normal_form(IntegerMatrix.from_dense(b)) == (chain, rank)
+
+
+def relabelled(rack, perm):
+    """The same rack with element x renamed perm[x]."""
+    n = rack.size
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[rack.table[x][y]]
+    return FiniteRack(table)
+
+
+def shuffled(matrix, rng):
+    """matrix with its rows and its columns put in seeded random orders."""
+    row_to = list(range(matrix.rows))
+    col_to = list(range(matrix.cols))
+    rng.shuffle(row_to)
+    rng.shuffle(col_to)
+    entries = {(row_to[r], col_to[c]): v for (r, c), v in matrix.entries.items()}
+    return IntegerMatrix(matrix.rows, matrix.cols, entries)
+
+
+def test_smith_normal_form_does_not_depend_on_pivot_order():
+    # relabelling the rack and reordering d3 change which unit pivots are
+    # taken, never the invariant factors or the rank
+    rng = random.Random(65)
+    for rack, rank, torsion in ((class_rack(5, 5), 132, (10,)), (twentyfour_subrack(), 552, (14,))):
+        _, d3 = boundary_matrices(rack)
+        factors, found_rank = smith_normal_form(d3)
+        assert found_rank == rank
+        assert tuple(d for d in factors if d > 1) == torsion
+        for _ in range(2):
+            perm = list(range(rack.size))
+            rng.shuffle(perm)
+            _, d3_relabelled = boundary_matrices(relabelled(rack, perm))
+            assert smith_normal_form(shuffled(d3_relabelled, rng)) == (factors, rank)
 
 
 @settings(max_examples=60, deadline=None)
