@@ -524,9 +524,9 @@ def _closure_size(sigma, tau, subgroup, m):
     """|sigma^H union tau^H| for H generated by the pair: the closure of
     {sigma, tau} consists of exactly these conjugates, since every element
     of the closure is a word conjugate and every word conjugate arises."""
-    moved = subgroup.moved_points()
-    u = len(moved)
-    if u >= 3 and subgroup.order == factorial(u) // 2:
+    if subgroup.is_natural_alternating():
+        moved = subgroup.moved_points()
+        u = len(moved)
         # H is the alternating group on its moved points; count p-cycles in
         # closed form. The symmetric class splits in Alt(U) exactly when the
         # cycle type is all odd lengths, all distinct, i.e. u - p <= 1 here.

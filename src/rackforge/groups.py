@@ -6,8 +6,9 @@ stabilizer-chain transversals, and a capped breadth-first conjugacy orbit
 search. Base points are chosen deterministically (smallest moved point
 first), so identical generator lists always produce identical chains.
 
-Internally permutations are raw 0-based image tuples; the public surface
-uses perm.Permutation.
+Every input and result is a perm.Permutation. The chain and the orbit
+search work on `Permutation.images` with the kernel functions of perm.py,
+the only module that combines image tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .perm import Permutation
+from .perm import Permutation, _compose, _conj, _inverse
 
 __all__ = [
     "PermGroup",
@@ -27,23 +28,6 @@ __all__ = [
     "alternating_group",
     "symmetric_group",
 ]
-
-
-def _compose(a, b):
-    """(a.b)(i) = a(b(i)) on raw image tuples."""
-    return tuple(map(a.__getitem__, b))
-
-
-def _inverse(a):
-    inv = [0] * len(a)
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _conj(g, x, g_inv):
-    """g x g^-1 on raw tuples, with g_inv precomputed."""
-    return tuple(g[x[g_inv[i]]] for i in range(len(g)))
 
 
 class _Level:
@@ -85,24 +69,9 @@ class PermGroup:
         return tuple(level.point + 1 for level in self._levels)
 
     def contains(self, x):
-        if isinstance(x, Permutation):
-            x = x.images
-        if len(x) != self.degree:
+        if x.degree != self.degree:
             return False
-        return self._sift(x) is None
-
-    def _sift(self, g):
-        """Reduce g through the chain; None when g factors completely,
-        else (residue, level_index)."""
-        for idx, level in enumerate(self._levels):
-            beta = g[level.point]
-            rep_inv = level.inv_transversal.get(beta)
-            if rep_inv is None:
-                return (g, idx)
-            g = _compose(rep_inv, g)
-        if g == self._identity:
-            return None
-        return (g, len(self._levels))
+        return _sift(self._levels, x.images) == self._identity
 
     def sample(self, rng):
         """Uniform random element: independent uniform transversal choices."""
@@ -110,7 +79,7 @@ class PermGroup:
         for level in self._levels:
             beta = level.orbit[rng.randrange(len(level.orbit))]
             g = _compose(g, level.transversal[beta])
-        return Permutation(g)
+        return Permutation._of(g)
 
     def moved_points(self):
         """Sorted 1-based points moved by at least one generator."""
@@ -138,6 +107,18 @@ class PermGroup:
             self.order,
             self.base,
         )
+
+
+def _sift(levels, g, start=0):
+    """Reduce the image tuple g through the transversals of levels[start:].
+    The residue is the identity exactly when g lies in the group that
+    those levels' strong generators generate."""
+    for level in levels[start:]:
+        rep_inv = level.inv_transversal.get(g[level.point])
+        if rep_inv is None:
+            break
+        g = _compose(rep_inv, g)
+    return g
 
 
 def _smallest_moved(g):
@@ -213,20 +194,6 @@ class _Builder:
             frontier = next_frontier
         level.dirty = False
 
-    def _sift_from(self, idx, g):
-        """Sift g through levels idx..end; None if it vanishes, else
-        (residue, drop_level)."""
-        for j in range(idx, len(self.levels)):
-            level = self.levels[j]
-            beta = g[level.point]
-            rep_inv = level.inv_transversal.get(beta)
-            if rep_inv is None:
-                return (g, j)
-            g = _compose(rep_inv, g)
-        if g == self.identity:
-            return None
-        return (g, len(self.levels))
-
     def _check_level(self, idx):
         """Sift every unprocessed Schreier generator of level idx. Returns the
         level index where a residue was inserted, or None when the level is
@@ -256,9 +223,8 @@ class _Builder:
                     )
                     if schreier == self.identity:
                         continue
-                    result = self._sift_from(idx + 1, schreier)
-                    if result is not None:
-                        residue, _ = result
+                    residue = _sift(self.levels, schreier, idx + 1)
+                    if residue != self.identity:
                         level.progress[gid] = pos + 1
                         return self._place(residue)
                 level.progress[gid] = orbit_len
@@ -273,21 +239,15 @@ def build_bsgs(generators, degree=None):
     depends only on the generator list order. Orders up to alternating degree
     24 and beyond are exact big integers.
     """
-    gens = []
-    for g in generators:
-        if isinstance(g, Permutation):
-            gens.append(g.images)
-        else:
-            gens.append(tuple(g))
+    generators = list(generators)
     if degree is None:
-        if not gens:
+        if not generators:
             raise ValueError("degree required for an empty generator list")
-        degree = len(gens[0])
-    for g in gens:
-        if len(g) != degree:
-            raise ValueError("generators must share one degree")
-    levels = _Builder(degree, gens).run()
-    return PermGroup(degree, [Permutation(g) for g in gens], levels, tuple(range(degree)))
+        degree = generators[0].degree
+    if any(g.degree != degree for g in generators):
+        raise ValueError("generators must share one degree")
+    levels = _Builder(degree, [g.images for g in generators]).run()
+    return PermGroup(degree, generators, levels, tuple(range(degree)))
 
 
 @dataclass(frozen=True)
@@ -299,6 +259,25 @@ class OrbitProbe:
     cap: int
 
 
+def _conjugates(group, x):
+    """Image tuples of the conjugates of x under the group, x first, then
+    breadth-first by generator conjugation in discovery order."""
+    gens = [g.images for g in group.generators]
+    seen = {x}
+    frontier = [x]
+    yield x
+    while frontier:
+        next_frontier = []
+        for y in frontier:
+            for g in gens:
+                z = _conj(g, y)
+                if z not in seen:
+                    seen.add(z)
+                    yield z
+                    next_frontier.append(z)
+        frontier = next_frontier
+
+
 def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
     """Decide whether target is a group-conjugate of x.
 
@@ -307,23 +286,20 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
     group on its degree the answer comes from the class-splitting criterion
     instead of enumeration.
     """
-    if isinstance(x, Permutation):
-        x = x.images
-    if isinstance(target, Permutation):
-        target = target.images
     n = group.degree
-    if len(x) != n or len(target) != n:
+    if x.degree != n or target.degree != n:
         raise ValueError("degree mismatch in conjugacy search")
     moved = group.moved_points()
     moved_set = set(moved)
     confined = all(
-        x[i] == i and target[i] == i
+        x.images[i] == i and target.images[i] == i
         for i in range(n)
         if i + 1 not in moved_set
     )
-    if confined and group.is_natural_alternating():
-        xr = Permutation(x).restricted_to(moved)
-        tr = Permutation(target).restricted_to(moved)
+    alternating = confined and group.is_natural_alternating()
+    if alternating:
+        xr = x.restricted_to(moved)
+        tr = target.restricted_to(moved)
         if xr.parity() == 1 and tr.parity() == 1:
             answer = alternating_conjugate(xr, tr, len(moved))
             return OrbitProbe("yes" if answer else "no", 0, cap)
@@ -331,80 +307,33 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
             return OrbitProbe("no", 0, cap)
         # both odd: some even-length cycle centralizes, so the class does
         # not split and conjugacy reduces to equal cycle type
-        same = _sorted_type(x) == _sorted_type(target)
+    if alternating or (confined and group.is_natural_symmetric()):
+        same = sorted(map(len, x.cycles(include_fixed=True))) == sorted(
+            map(len, target.cycles(include_fixed=True))
+        )
         return OrbitProbe("yes" if same else "no", 0, cap)
-    if confined and group.is_natural_symmetric():
-        same = _sorted_type(x) == _sorted_type(target)
-        return OrbitProbe("yes" if same else "no", 0, cap)
-    gens = [(g.images, _inverse(g.images)) for g in group.generators]
-    if x == target:
-        return OrbitProbe("yes", 1, cap)
-    start = bytes(x) if n < 256 else tuple(x)
-    goal = bytes(target) if n < 256 else tuple(target)
-    seen = {start}
-    frontier = [x]
-    visited = 1
-    while frontier:
-        next_frontier = []
-        for y in frontier:
-            for g, g_inv in gens:
-                z = _conj(g, y, g_inv)
-                key = bytes(z) if n < 256 else z
-                if key in seen:
-                    continue
-                if key == goal:
-                    return OrbitProbe("yes", visited + 1, cap)
-                seen.add(key)
-                visited += 1
-                if visited > cap:
-                    return OrbitProbe("capped", visited, cap)
-                next_frontier.append(z)
-        frontier = next_frontier
+    goal = target.images
+    visited = 0
+    for z in _conjugates(group, x.images):
+        visited += 1
+        if z == goal:
+            return OrbitProbe("yes", visited, cap)
+        if visited > max(cap, 1):  # x itself never trips the cap
+            return OrbitProbe("capped", visited, cap)
     return OrbitProbe("no", visited, cap)
 
 
 def conjugacy_class_list(group, x, cap=10_000_000):
     """The full conjugacy class of x under the group, in BFS discovery
     order, as Permutations. Raises when the class exceeds the cap."""
-    if isinstance(x, Permutation):
-        x = x.images
-    n = group.degree
-    if len(x) != n:
+    if x.degree != group.degree:
         raise ValueError("degree mismatch in class enumeration")
-    gens = [(g.images, _inverse(g.images)) for g in group.generators]
-    seen = {x}
-    out = [x]
-    frontier = [x]
-    while frontier:
-        next_frontier = []
-        for y in frontier:
-            for g, g_inv in gens:
-                z = _conj(g, y, g_inv)
-                if z not in seen:
-                    seen.add(z)
-                    out.append(z)
-                    if len(out) > cap:
-                        raise ValueError("conjugacy class larger than cap %d" % cap)
-                    next_frontier.append(z)
-        frontier = next_frontier
-    return [Permutation(z) for z in out]
-
-
-def _sorted_type(images):
-    lengths = []
-    seen = [False] * len(images)
-    for i in range(len(images)):
-        if seen[i]:
-            continue
-        l = 1
-        seen[i] = True
-        j = images[i]
-        while j != i:
-            seen[j] = True
-            l += 1
-            j = images[j]
-        lengths.append(l)
-    return tuple(sorted(lengths))
+    out = []
+    for z in _conjugates(group, x.images):
+        out.append(Permutation._of(z))
+        if len(out) > max(cap, 1):  # x itself never trips the cap
+            raise ValueError("conjugacy class larger than cap %d" % cap)
+    return out
 
 
 def alternating_conjugate(sigma, tau, m=None):
@@ -429,8 +358,7 @@ def alternating_conjugate(sigma, tau, m=None):
     for cs, ct in zip(c_sigma, c_tau):
         for a, b in zip(cs, ct):
             images[a - 1] = b - 1
-    conjugator = Permutation(images)
-    if conjugator.parity() == 1:
+    if Permutation._of(tuple(images)).parity() == 1:
         return True
     lengths = [len(c) for c in c_sigma]
     splits = all(l % 2 == 1 for l in lengths) and len(set(lengths)) == len(lengths)

@@ -1,8 +1,16 @@
 """Exact permutation arithmetic on the points {1, ..., m}.
 
-Permutations are stored as 0-based image tuples; every public surface
-(cycle strings, JSON, point sets) speaks 1-based points. Composition is
-function composition, compose(a, b) applies b first.
+This module is the package's one permutation kernel. Permutations are
+stored as 0-based image tuples, and only the private functions `_compose`,
+`_inverse` and `_conj` combine them; groups and racks call those on
+`Permutation.images` in their inner loops. Every public surface (cycle
+strings, JSON, point sets) speaks 1-based points. Composition is function
+composition, compose(a, b) applies b first.
+
+`Permutation(...)`, `cycle`, `parse_cycles`, `restricted_to` and
+`from_json_dict` check that their input is a bijection. Results that are
+bijections by construction (products, inverses, conjugates, powers,
+extensions) go through the unchecked `Permutation._of`.
 """
 
 from __future__ import annotations
@@ -42,6 +50,14 @@ class Permutation:
             seen[i] = True
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_cycles", None)
+
+    @classmethod
+    def _of(cls, images):
+        """Wrap an image tuple that is a bijection by construction, unchecked."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        object.__setattr__(perm, "_cycles", None)
+        return perm
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -89,23 +105,19 @@ class Permutation:
     def __pow__(self, n):
         if n == 0:
             return Permutation.identity(self.degree)
-        base = self if n > 0 else self.inverse()
+        acc = self.images if n > 0 else _inverse(self.images)
         n = abs(n)
         result = None
-        acc = base
         while n:
             if n & 1:
-                result = acc if result is None else compose(result, acc)
+                result = acc if result is None else _compose(result, acc)
             n >>= 1
             if n:
-                acc = compose(acc, acc)
-        return result
+                acc = _compose(acc, acc)
+        return Permutation._of(result)
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation._of(_inverse(self.images))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -165,7 +177,7 @@ class Permutation:
         """Same mapping viewed at a larger degree, new points fixed."""
         if degree < len(self.images):
             raise ValueError("cannot shrink degree")
-        return Permutation(self.images + tuple(range(len(self.images), degree)))
+        return Permutation._of(self.images + tuple(range(len(self.images), degree)))
 
     def restricted_to(self, points):
         """Relabel onto the given sorted 1-based points, which must be closed
@@ -190,23 +202,38 @@ class Permutation:
         return cls.from_one_based(images)
 
 
+def _compose(a, b):
+    """(a.b)(i) = a(b(i)) on image tuples."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _conj(g, x):
+    """g x g^-1 on image tuples: it maps g(i) to g(x(i))."""
+    images = [0] * len(g)
+    for i in range(len(g)):
+        images[g[i]] = g[x[i]]
+    return tuple(images)
+
+
 def compose(a, b):
     """Composite permutation applying b first: (a.b)(i) = a(b(i))."""
     if a.degree != b.degree:
         raise ValueError("degree mismatch: %d vs %d" % (a.degree, b.degree))
-    ai = a.images
-    return Permutation(ai[j] for j in b.images)
+    return Permutation._of(_compose(a.images, b.images))
 
 
 def conjugate(g, x):
     """g acting on x by conjugation, g x g^-1."""
     if g.degree != x.degree:
         raise ValueError("degree mismatch: %d vs %d" % (g.degree, x.degree))
-    gi, xi = g.images, x.images
-    images = [0] * len(gi)
-    for i in range(len(gi)):
-        images[gi[i]] = gi[xi[i]]
-    return Permutation(images)
+    return Permutation._of(_conj(g.images, x.images))
 
 
 _TOKEN = re.compile(r"\(|\)|,|\s+|\d+")

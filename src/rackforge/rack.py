@@ -15,7 +15,7 @@ from typing import Optional
 
 from .constructions import class_elements, natural_class
 from .groups import build_bsgs, conjugacy_orbit_contains
-from .perm import Permutation, format_cycles
+from .perm import Permutation, _compose, _conj, _inverse, format_cycles
 
 __all__ = [
     "FiniteRack",
@@ -67,13 +67,7 @@ class FiniteRack:
     def act_inverse(self, x, y):
         """The unique z with act(x, z) = y."""
         if self._inv_rows is None:
-            inv = []
-            for row in self.table:
-                r = [0] * len(row)
-                for i, j in enumerate(row):
-                    r[j] = i
-                inv.append(tuple(r))
-            self._inv_rows = tuple(inv)
+            self._inv_rows = tuple(_inverse(row) for row in self.table)
         return self._inv_rows[x][y]
 
     def is_quandle(self):
@@ -99,16 +93,25 @@ class FiniteRack:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Read the portable form, which is untrusted: any malformed shape,
+        type or value raises ValueError."""
+        if not isinstance(data, dict) or "size" not in data or "table" not in data:
+            raise ValueError("a rack needs 'size' and 'table' fields")
         n = data["size"]
         table = data["table"]
-        if len(table) != n:
+        if type(n) is not int or not isinstance(table, list) or len(table) != n:
             raise ValueError("table size disagrees with the size field")
         rows = []
         for row in table:
-            if len(row) != n or not all(1 <= v <= n for v in row):
-                raise ValueError("table entries must be 1..size")
+            if not isinstance(row, list) or len(row) != n:
+                raise ValueError("table rows must be lists of size entries")
+            if not all(type(v) is int and 1 <= v <= n for v in row):
+                raise ValueError("table entries must be integers 1..size")
             rows.append(tuple(v - 1 for v in row))
-        return cls(rows, labels=data.get("labels"), check=True)
+        labels = data.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError("labels must be a list")
+        return cls(rows, labels=labels, check=True)
 
 
 def validate_rack(table):
@@ -131,10 +134,9 @@ def validate_rack(table):
             raise ValueError("row %d is not a bijection of 0..%d" % (x, n - 1))
     for x in range(n):
         tx = tab[x]
-        get = tx.__getitem__
         for y in range(n):
-            lhs = tuple(map(get, tab[y]))
-            rhs = tuple(map(tab[tx[y]].__getitem__, tx))
+            lhs = _compose(tx, tab[y])
+            rhs = _compose(tab[tx[y]], tx)
             if lhs != rhs:
                 for z in range(n):
                     if lhs[z] != rhs[z]:
@@ -150,7 +152,7 @@ def conjugation_rack(perms, labels=None):
     and self-distributivity holds automatically, so no table validation is
     run. Default labels are cycle strings.
     """
-    elems = [g if isinstance(g, Permutation) else Permutation(g) for g in perms]
+    elems = list(perms)
     if not elems:
         raise ValueError("a rack needs at least one element")
     degree = elems[0].degree
@@ -159,18 +161,15 @@ def conjugation_rack(perms, labels=None):
     index = {g.images: i for i, g in enumerate(elems)}
     if len(index) != len(elems):
         raise ValueError("elements must be distinct")
-    raw = [g.images for g in elems]
-    inverses = [g.inverse().images for g in elems]
     rows = []
-    for gi, (g, g_inv) in enumerate(zip(raw, inverses)):
+    for g in elems:
         row = []
-        for h in raw:
-            k = tuple(g[h[g_inv[i]]] for i in range(degree))
-            ki = index.get(k)
+        for h in elems:
+            ki = index.get(_conj(g.images, h.images))
             if ki is None:
                 raise ValueError(
                     "not closed under conjugation: %s maps %s outside the set"
-                    % (format_cycles(elems[gi]), format_cycles(Permutation(h)))
+                    % (format_cycles(g), format_cycles(h))
                 )
             row.append(ki)
         rows.append(tuple(row))

@@ -236,6 +236,30 @@ def test_construct_class_rack_and_cohomology(tmp_path, capsys):
     assert report["result"]["pretty"] == "k^× × G_10"
 
 
+def test_cohomology_rejects_malformed_rack_files(tmp_path, capsys):
+    # each file differs from the valid 2-element trivial rack in one field
+    bad = [
+        {"size": 2, "table": [[1.0, 2], [1, 2]]},
+        {"size": 2, "table": [[True, 2], [1, 2]]},
+        {"size": 2, "table": [["1", 2], [1, 2]]},
+        {"size": 2.0, "table": [[1, 2], [1, 2]]},
+        {"size": 2, "table": [[1, 2], 3]},
+        {"size": 2, "table": [[1, 2], [1, 2]], "labels": 7},
+        {"table": [[1, 2], [1, 2]]},
+        {"size": 2},
+        [[1, 2], [1, 2]],
+    ]
+    path = tmp_path / "rack.json"
+    path.write_text(json.dumps({"size": 2, "table": [[1, 2], [1, 2]]}))
+    assert run_cli(capsys, "cohomology", "--rack", str(path))[0] == 0
+    for data in bad:
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "cohomology", "--rack", str(path))
+        assert code == 1, data
+        assert err.startswith("error: ") and "Traceback" not in err, data
+        assert out == ""
+
+
 def test_cohomology_from_class_parameters(capsys):
     code, report, _ = run_json(capsys, "cohomology", "--p", "5", "--m", "5", "--json")
     assert code == 0

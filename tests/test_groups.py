@@ -155,6 +155,92 @@ def test_conjugacy_orbit_cap_reports_capped():
         assert probe.visited > probe.cap
 
 
+def test_conjugacy_orbit_cap_counts_are_pinned():
+    # the start element never counts against the cap, and a target met one
+    # past the cap is still found
+    gens = [
+        Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7),
+        Permutation.from_cycles("(2 4 3 7 5 6)", 7),
+    ]
+    g = build_bsgs(gens)
+    x = gens[0]
+    cls = conjugacy_class_list(g, x)
+    assert [str(y) for y in cls] == [
+        "(1 2 3 4 5 6 7)",
+        "(1 4 7 3 6 2 5)",
+        "(1 3 5 7 2 4 6)",
+        "(1 7 6 5 4 3 2)",
+        "(1 5 2 6 3 7 4)",
+        "(1 6 4 2 7 5 3)",
+    ]
+    targets = cls + [Permutation.identity(7)]
+    expected = {
+        0: [("yes", 1), ("yes", 2)] + [("capped", 2)] * 5,
+        1: [("yes", 1), ("yes", 2)] + [("capped", 2)] * 5,
+        2: [("yes", 1), ("yes", 2), ("yes", 3)] + [("capped", 3)] * 4,
+        5: [("yes", k) for k in range(1, 7)] + [("capped", 6)],
+        6: [("yes", k) for k in range(1, 7)] + [("no", 6)],
+    }
+    for cap, answers in expected.items():
+        probes = [conjugacy_orbit_contains(g, x, t, cap=cap) for t in targets]
+        assert [(p.answer, p.visited) for p in probes] == answers, cap
+        assert all(p.cap == cap for p in probes)
+    identity = Permutation.identity(7)
+    assert conjugacy_class_list(g, identity, cap=0) == [identity]
+    assert conjugacy_class_list(g, x, cap=6) == cls
+    for cap in (0, 1, 5):
+        with pytest.raises(ValueError):
+            conjugacy_class_list(g, x, cap=cap)
+
+
+def _tuple_compose(a, b):
+    return tuple(a[b[i]] for i in range(len(b)))
+
+
+def test_orbit_search_at_degree_300_matches_brute_force():
+    # the affine group of degree 7 and that of degree 5, on seeded disjoint
+    # points of 1..300, with one generator acting on both: a proper group on
+    # its moved points, so both searches enumerate at degree 300
+    rng = random.Random(43)
+    points = rng.sample(range(1, 301), 12)
+    seven, five = points[:7], points[7:]
+
+    def on(pts, cycle):
+        return [pts[i - 1] for i in cycle]
+
+    gens = []
+    for cycles in (
+        [on(seven, [1, 2, 3, 4, 5, 6, 7]), on(five, [1, 2, 3, 4, 5])],
+        [on(seven, [2, 4, 3, 7, 5, 6])],
+        [on(five, [2, 3, 5, 4])],
+    ):
+        images = list(range(300))
+        for c in cycles:
+            for a, b in zip(c, c[1:] + c[:1]):
+                images[a - 1] = b - 1
+        gens.append(tuple(images))
+    # the group and its classes by brute force on image tuples
+    elements = {tuple(range(300))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [_tuple_compose(h, s) for h in frontier for s in gens]
+        frontier = [h for h in set(frontier) if h not in elements]
+        elements.update(frontier)
+    inverses = {h: tuple(sorted(range(300), key=h.__getitem__)) for h in elements}
+    group = build_bsgs([Permutation(s) for s in gens])
+    assert group.order == len(elements) == 42 * 20
+    for x in rng.sample(sorted(elements), 6):
+        orbit = {_tuple_compose(_tuple_compose(h, x), inverses[h]) for h in elements}
+        cls = conjugacy_class_list(group, Permutation(x))
+        assert cls[0].images == x
+        assert len(cls) == len(orbit) and {y.images for y in cls} == orbit
+        inside = Permutation(rng.choice(sorted(orbit)))
+        assert conjugacy_orbit_contains(group, Permutation(x), inside).answer == "yes"
+        outside = next(Permutation(h) for h in sorted(elements) if h not in orbit)
+        probe = conjugacy_orbit_contains(group, Permutation(x), outside)
+        assert (probe.answer, probe.visited) == ("no", len(orbit))
+
+
 def test_alternating_conjugate_against_brute_force():
     rng = random.Random(33)
     for m in (4, 5, 6, 7):

@@ -55,6 +55,41 @@ def test_inverse_and_power():
         assert g ** g.order() == Permutation.identity(8)
 
 
+def _tuple_compose(a, b):
+    return tuple(a[b[i]] for i in range(len(b)))
+
+
+def _tuple_inverse(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def test_kernel_matches_tuple_formulas():
+    # products, inverses, conjugates and powers skip the bijection check,
+    # so each is held against a formula written apart from the kernel
+    rng = random.Random(41)
+    for degree in list(range(1, 31)) + [300]:
+        for _ in range(4):
+            a = random_permutation(degree, rng)
+            b = random_permutation(degree, rng)
+            x, y = a.images, b.images
+            assert compose(a, b).images == (a * b).images == _tuple_compose(x, y)
+            assert a.inverse().images == _tuple_inverse(x)
+            expected = _tuple_compose(_tuple_compose(x, y), _tuple_inverse(x))
+            assert conjugate(a, b).images == expected
+            power = tuple(range(degree))
+            for k in range(1, 6):
+                power = _tuple_compose(power, x)
+                assert (a**k).images == power
+                assert (a**-k).images == _tuple_inverse(power)
+            assert a.extend(degree + 2).images == x + (degree, degree + 1)
+            for result in (a * b, a.inverse(), conjugate(a, b), a**3, a**-2):
+                assert Permutation(result.images) == result
+        with pytest.raises(ValueError):
+            compose(a, Permutation.identity(degree + 1))
+        with pytest.raises(ValueError):
+            conjugate(a, Permutation.identity(degree + 1))
+
+
 def test_parity_is_multiplicative():
     rng = random.Random(2)
     for _ in range(500):
