@@ -56,11 +56,9 @@ from .rack import (
     validate_rack,
 )
 from .homology import (
-    CohomologyStructure,
     HomologyResult,
     IntegerMatrix,
     boundary_matrices,
-    second_cohomology_structure,
     second_homology,
     smith_normal_form,
 )
@@ -124,11 +122,9 @@ __all__ = [
     "subrack_closure",
     "type_d_pair",
     "validate_rack",
-    "CohomologyStructure",
     "HomologyResult",
     "IntegerMatrix",
     "boundary_matrices",
-    "second_cohomology_structure",
     "second_homology",
     "smith_normal_form",
     "CensusReport",

@@ -37,7 +37,7 @@ from .groups import (
     alternating_group,
     build_bsgs,
 )
-from .homology import boundary_matrices, second_cohomology_structure, smith_normal_form
+from .homology import boundary_matrices, second_homology, smith_normal_form
 from .numth import cyclotomic_decompositions, cyclotomic_primes_below, jacobi
 from .perm import Permutation
 from .rack import (
@@ -291,7 +291,7 @@ def _twentyfour_element_subrack():
 
 def _cohomology_golden_values():
     t0 = time.monotonic()
-    small = second_cohomology_structure(class_rack(5, 5))
+    small = second_homology(class_rack(5, 5))
     dt_small = time.monotonic() - t0
     if small.free_rank != 1 or small.torsion != (10,):
         return False, "12-element class rack gave %s" % small.pretty
@@ -302,7 +302,7 @@ def _cohomology_golden_values():
     sub = _twentyfour_element_subrack()
     if sub.size != 24:
         return False, "subrack closure has %d elements, expected 24" % sub.size
-    big = second_cohomology_structure(sub)
+    big = second_homology(sub)
     dt_big = time.monotonic() - t0
     if big.free_rank != 1 or big.torsion != (14,):
         return False, "24-element subrack gave %s" % big.pretty

@@ -29,6 +29,7 @@ from .constructions import (
     seeded_conjugates,
 )
 from .groups import (
+    _aligning_conjugator,
     alternating_conjugate,
     build_bsgs,
     conjugacy_class_list,
@@ -254,34 +255,6 @@ class SearchOutcome:
         return out
 
 
-def _aligning_conjugator(source, target_degree=None):
-    """A permutation g with g source g^-1 = the standard p-cycle, built by
-    matching cycle orders; fixed points map to fixed points in sorted order.
-    Parity is whatever it is: any parity preserves the class half of a
-    same-half pair when both coordinates are conjugated."""
-    m = source.degree if target_degree is None else target_degree
-    cyc = source.cycles()[0]
-    p = len(cyc)
-    images = [None] * m
-    for pos, a in enumerate(cyc):
-        images[a - 1] = pos
-    rest = [q for q in range(1, m + 1) if q not in set(cyc)]
-    for offset, a in enumerate(rest):
-        images[a - 1] = p + offset
-    return Permutation(images)
-
-
-def _normalize_pair(sigma, tau, p, m):
-    """Carry (sigma, tau) to (standard p-cycle, tau'), conjugating both."""
-    g = _aligning_conjugator(sigma, m)
-    new_sigma = conjugate(g, sigma)
-    new_tau = conjugate(g, tau)
-    nat = natural_class(p, m).sigma
-    if new_sigma != nat:
-        raise AssertionError("alignment failed to produce the standard cycle")
-    return nat, new_tau
-
-
 def _first_witness(sigma, taus):
     """Test (sigma, tau) for each tau in order, stopping at the first
     witness; returns (witness or None, pairs tested, indeterminate count)."""
@@ -300,75 +273,64 @@ def witness_search(p, m, strategy="subgroup", budget=None, seed=0, deep=False):
     """Search the class of p-cycles at degree m for a pair satisfying both
     axioms, the first element pinned to the standard p-cycle.
 
+    Every strategy is a stream of partners tau for the standard cycle,
+    tested one at a time until the first witness or the budget:
     exhaustive: every class element as tau (proves absence when it
     completes with no indeterminates); a run testing more than 100000
     elements, the budget included, is gated by deep.
     random: seeded uniform conjugates of the standard cycle.
     subgroup: candidate pairs inside the linear groups attached to the
     cyclotomic decompositions of p, plus the affine Frobenius group when
-    m = p + 1 is a power of two; representatives of two distinct order-p
-    subgroup classes in the same alternating half, the second scanned over
-    its whole subgroup class.
+    m = p + 1 is a power of two, carried to the standard cycle.
 
     Every witness is re-verified from scratch before being returned.
     """
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be a non-negative integer")
     spec = natural_class(p, m)
-    sigma = spec.sigma
-    if strategy in ("exhaustive", "random"):
-        if strategy == "exhaustive":
-            limit = spec.class_size if budget is None else min(budget, spec.class_size)
-            if limit > DEEP_GATE and not deep:
-                raise ValueError("exhaustive search over %d elements needs deep=True" % limit)
-            taus = class_elements(p, m)
-        else:
-            limit = 10_000 if budget is None else budget
-            taus = seeded_conjugates(p, m, seed)
-        witness, tested, indet = _first_witness(sigma, islice(taus, limit))
-        if witness is not None:
-            status = "witness"
-            witness = _reverify(witness, p, m)
-        elif strategy == "exhaustive" and tested == spec.class_size and indet == 0:
-            status = "absence"
-        else:
-            status = "exhausted"
-        return SearchOutcome(p, m, strategy, status, witness, tested, indet, seed, budget)
+    if strategy == "exhaustive":
+        limit = spec.class_size if budget is None else min(budget, spec.class_size)
+        if limit > DEEP_GATE and not deep:
+            raise ValueError("exhaustive search over %d elements needs deep=True" % limit)
+        taus = class_elements(p, m)
+    elif strategy == "random":
+        limit = 10_000 if budget is None else budget
+        taus = seeded_conjugates(p, m, seed)
+    elif strategy == "subgroup":
+        limit = 1_000_000 if budget is None else budget
+        taus = _subgroup_partners(p, m, seed)
+    else:
+        raise ValueError("unknown strategy %r" % strategy)
+    witness, tested, indet = _first_witness(spec.sigma, islice(taus, limit))
+    if witness is not None:
+        status = "witness"
+        witness = _reverify(witness, p, m)
+    elif strategy == "exhaustive" and tested == spec.class_size and indet == 0:
+        status = "absence"
+    else:
+        status = "exhausted"
+    return SearchOutcome(p, m, strategy, status, witness, tested, indet, seed, budget)
 
-    if strategy == "subgroup":
-        tested = 0
-        indet = 0
-        limit = budget if budget is not None else 1_000_000
-        for group in _candidate_subgroups(p, m, seed):
-            reps = order_p_class_reps(group, p, seed=seed)
-            for i, first in enumerate(reps):
-                for j, second in enumerate(reps):
-                    if i == j:
-                        continue
-                    if not alternating_conjugate(first, second, m):
-                        continue
-                    for tau in conjugacy_class_list(group, second):
-                        if tested >= limit:
-                            return SearchOutcome(
-                                p, m, strategy, "exhausted", None, tested, indet, seed, budget
-                            )
-                        tested += 1
-                        result = type_d_pair(first, tau)
-                        if result.verdict == "Indeterminate":
-                            indet += 1
-                            continue
-                        if result.verdict == "Witness":
-                            nat, new_tau = _normalize_pair(first, tau, p, m)
-                            final = type_d_pair(nat, new_tau)
-                            if final.verdict != "Witness":
-                                raise AssertionError(
-                                    "normalized pair lost the witness property"
-                                )
-                            checked = _reverify(final.witness, p, m)
-                            return SearchOutcome(
-                                p, m, strategy, "witness", checked, tested, indet, seed, budget
-                            )
-        return SearchOutcome(p, m, strategy, "exhausted", None, tested, indet, seed, budget)
 
-    raise ValueError("unknown strategy %r" % strategy)
+def _subgroup_partners(p, m, seed):
+    """Partners of the standard cycle from the candidate subgroups. For
+    representatives first and second of two distinct order-p subgroup
+    classes in the same alternating half, each tau in the subgroup class of
+    second is carried by the g with g first g^-1 = the standard cycle.
+    Conjugation preserves both axioms, the generated subgroup's order and
+    the orbit search, so (standard cycle, g tau g^-1) tests as (first, tau)."""
+    nat = natural_class(p, m).sigma
+    for group in _candidate_subgroups(p, m, seed):
+        reps = order_p_class_reps(group, p, seed=seed)
+        for i, first in enumerate(reps):
+            g = _aligning_conjugator(first, nat)
+            if g is None or conjugate(g, first) != nat:
+                raise AssertionError("alignment failed to produce the standard cycle")
+            for j, second in enumerate(reps):
+                if i == j or not alternating_conjugate(first, second, m):
+                    continue
+                for tau in conjugacy_class_list(group, second):
+                    yield conjugate(g, tau)
 
 
 def _candidate_subgroups(p, m, seed):
@@ -520,7 +482,7 @@ class CensusReport:
         }
 
 
-def _closure_size(sigma, tau, subgroup, m):
+def _closure_size(sigma, tau, subgroup):
     """|sigma^H union tau^H| for H generated by the pair: the closure of
     {sigma, tau} consists of exactly these conjugates, since every element
     of the closure is a word conjugate and every word conjugate arises."""
@@ -547,6 +509,8 @@ def _class_or_sample(p, m, budget, seed):
     """(taus, count, exhaustive): the whole class of the standard p-cycle
     when it fits the budget (default 10000), else that many seeded
     conjugates."""
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be a non-negative integer")
     spec = natural_class(p, m)
     limit = 10_000 if budget is None else budget
     if spec.class_size <= limit:
@@ -566,7 +530,7 @@ def subrack_census(p, m, budget=None, seed=0):
     for tau in taus:
         subgroup = build_bsgs([sigma, tau])
         case = fw_identify(sigma, tau, subgroup=subgroup)
-        size = _closure_size(sigma, tau, subgroup, m)
+        size = _closure_size(sigma, tau, subgroup)
         abelian = subgroup.order in (p, p * p)
         key = (size, case.tag, subgroup.order, abelian)
         counter[key] = counter.get(key, 0) + 1

@@ -29,7 +29,7 @@ from .constructions import (
     natural_class,
     psl_permutation_group,
 )
-from .homology import second_cohomology_structure
+from .homology import second_homology
 from .numth import cyclotomic_decompositions, cyclotomic_primes_below
 from .perm import format_cycles, parse_cycles
 from .rack import (
@@ -257,13 +257,13 @@ def _cmd_cohomology(args):
             raise ValueError("give either --rack FILE or both --p and --m")
         rack = class_rack(args.p, args.m)
         config = {"p": args.p, "m": args.m}
-    structure = second_cohomology_structure(rack)
-    result = structure.to_json_dict()
+    h2 = second_homology(rack)
+    result = h2.to_json_dict()
     result["rack_size"] = rack.size
     _emit(args, "cohomology", config, result, started)
     if not args.json:
         print("rack size %d" % rack.size)
-        print("second cohomology: %s" % structure.pretty)
+        print("second cohomology: %s" % h2.pretty)
     return EXIT_OK
 
 

@@ -135,7 +135,7 @@ def psl_permutation_group(k, r):
     return group
 
 
-def order_p_class_reps(G, p, seed=0, attempts=None):
+def order_p_class_reps(G, p, seed=0):
     """One representative per conjugacy class of order-p elements of G.
 
     Requires the Sylow p-subgroups to have order exactly p: they are then
@@ -152,8 +152,7 @@ def order_p_class_reps(G, p, seed=0, attempts=None):
         raise ValueError("group order is not divisible by %d" % p)
     if order % (p * p) == 0:
         raise ValueError("Sylow subgroups of order %d required" % p)
-    if attempts is None:
-        attempts = max(64, 64 * int(math.log(max(order, 2))))
+    attempts = max(64, 64 * int(math.log(max(order, 2))))
     rng = random.Random(seed)
     x = None
     for _ in range(attempts):

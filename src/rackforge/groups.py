@@ -350,19 +350,30 @@ def alternating_conjugate(sigma, tau, m=None):
         raise ValueError("degree mismatch")
     if sigma.parity() != 1 or tau.parity() != 1:
         raise ValueError("alternating_conjugate needs even permutations")
+    g = _aligning_conjugator(sigma, tau)
+    if g is None:
+        return False
+    if g.parity() == 1:
+        return True
+    lengths = [len(c) for c in sigma.cycles(include_fixed=True)]
+    splits = all(l % 2 == 1 for l in lengths) and len(set(lengths)) == len(lengths)
+    return not splits
+
+
+def _aligning_conjugator(sigma, tau):
+    """The permutation g with g sigma g^-1 = tau that matches the cycles of
+    the two, sorted by (length, cycle), point by point; None when the cycle
+    types differ. Its parity is not fixed: alternating_conjugate reads it
+    to tell the two halves of a split class apart."""
     c_sigma = sorted(sigma.cycles(include_fixed=True), key=lambda c: (len(c), c))
     c_tau = sorted(tau.cycles(include_fixed=True), key=lambda c: (len(c), c))
     if [len(c) for c in c_sigma] != [len(c) for c in c_tau]:
-        return False
-    images = [0] * m
+        return None
+    images = [0] * sigma.degree
     for cs, ct in zip(c_sigma, c_tau):
         for a, b in zip(cs, ct):
             images[a - 1] = b - 1
-    if Permutation._of(tuple(images)).parity() == 1:
-        return True
-    lengths = [len(c) for c in c_sigma]
-    splits = all(l % 2 == 1 for l in lengths) and len(set(lengths)) == len(lengths)
-    return not splits
+    return Permutation._of(tuple(images))
 
 
 def alternating_group(m):

@@ -22,11 +22,9 @@ from math import gcd
 __all__ = [
     "IntegerMatrix",
     "HomologyResult",
-    "CohomologyStructure",
     "boundary_matrices",
     "smith_normal_form",
     "second_homology",
-    "second_cohomology_structure",
 ]
 
 SIZE_GUARD = 10**8
@@ -319,28 +317,10 @@ class HomologyResult:
             if i and self.torsion[i] % self.torsion[i - 1]:
                 raise ValueError("torsion chain broken at position %d" % i)
 
-
-def second_homology(rack):
-    """H_2(X, Z) as free rank and torsion chain."""
-    d2, d3 = boundary_matrices(rack)
-    n = rack.size
-    _, rank2 = smith_normal_form(d2)
-    factors3, rank3 = smith_normal_form(d3)
-    free_rank = n * n - rank2 - rank3
-    torsion = tuple(d for d in factors3 if d > 1)
-    return HomologyResult(free_rank=free_rank, torsion=torsion)
-
-
-@dataclass(frozen=True)
-class CohomologyStructure:
-    """H^2(X, k^x) for algebraically closed k: torus factors and root-of-
-    unity orders, with the conventional rendering."""
-
-    free_rank: int
-    torsion: tuple
-
     @property
     def pretty(self):
+        """H^2(X, k^x) = Hom(H_2, k^x) for algebraically closed k: one torus
+        factor per free rank, one root-of-unity group per torsion factor."""
         parts = ["k^×"] * self.free_rank + ["G_%d" % d for d in self.torsion]
         return " × ".join(parts) if parts else "1"
 
@@ -352,7 +332,12 @@ class CohomologyStructure:
         }
 
 
-def second_cohomology_structure(rack):
-    """Structure of H^2(X, k^x) through Hom(H_2(X, Z), k^x)."""
-    h = second_homology(rack)
-    return CohomologyStructure(free_rank=h.free_rank, torsion=h.torsion)
+def second_homology(rack):
+    """H_2(X, Z) as free rank and torsion chain."""
+    d2, d3 = boundary_matrices(rack)
+    n = rack.size
+    _, rank2 = smith_normal_form(d2)
+    factors3, rank3 = smith_normal_form(d3)
+    free_rank = n * n - rank2 - rank3
+    torsion = tuple(d for d in factors3 if d > 1)
+    return HomologyResult(free_rank=free_rank, torsion=torsion)

@@ -145,12 +145,12 @@ def validate_rack(table):
                         )
 
 
-def conjugation_rack(perms, labels=None):
+def conjugation_rack(perms):
     """Rack on a list of distinct permutations with x acting as conjugation.
 
     The list must be closed under mutual conjugation. Rows are bijections
     and self-distributivity holds automatically, so no table validation is
-    run. Default labels are cycle strings.
+    run. Labels are cycle strings.
     """
     elems = list(perms)
     if not elems:
@@ -173,8 +173,7 @@ def conjugation_rack(perms, labels=None):
                 )
             row.append(ki)
         rows.append(tuple(row))
-    if labels is None:
-        labels = [format_cycles(g) for g in elems]
+    labels = [format_cycles(g) for g in elems]
     return FiniteRack(rows, labels=labels, elements=elems, check=False)
 
 
@@ -213,8 +212,7 @@ def subrack_closure(rack, seeds):
 def maximal_abelian_subrack_through(rack, x):
     """Largest subrack containing x on which the operation is trivial,
     act(a, b) = b for all members a, b. Exact branch and bound maximum
-    clique over the compatibility graph of x's neighborhood below 2000
-    elements, greedy beyond that."""
+    clique over the compatibility graph of x's neighborhood."""
     table = rack.table
     n = rack.size
     if table[x][x] != x:
@@ -224,12 +222,6 @@ def maximal_abelian_subrack_through(rack, x):
         for y in range(n)
         if y != x and table[x][y] == y and table[y][x] == x and table[y][y] == y
     ]
-    if n >= 2000:
-        chosen = [x]
-        for y in neigh:
-            if all(table[y][z] == z and table[z][y] == y for z in chosen if z != x):
-                chosen.append(y)
-        return frozenset(chosen)
     adj = {y: set() for y in neigh}
     for i, a in enumerate(neigh):
         for b in neigh[i + 1 :]:

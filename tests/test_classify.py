@@ -203,16 +203,64 @@ def test_witness_search_deep_gate():
         witness_search(11, 11, strategy="exhaustive", budget=DEEP_GATE + 1)
 
 
+SUBGROUP_WITNESSES = {
+    (7, 8): (56, "(1 6 2 8 4 3 7)"),
+    (13, 13): (5616, "(1 5 7 11 3 8 4 12 2 10 9 6 13)"),
+    (13, 14): (5616, "(1 5 7 11 3 8 4 12 2 10 9 6 13)"),
+    (17, 17): (4080, "(1 4 15 5 7 8 13 14 16 6 17 3 12 11 2 10 9)"),
+}
+
+
 def test_witness_search_subgroup_strategy():
-    for p, m, order in ((7, 8, 56), (13, 13, 5616), (13, 14, 5616), (17, 17, 4080)):
+    # each partner is carried to the standard cycle before it is tested, so
+    # the counts and the witness are those of the pair inside the subgroup
+    for (p, m), (order, tau) in SUBGROUP_WITNESSES.items():
         out = witness_search(p, m, strategy="subgroup")
         assert out.status == "witness", (p, m)
+        assert (out.pairs_tested, out.indeterminate) == (2, 0)
         w = out.witness
+        assert format_cycles(w.tau) == tau
         assert w.subgroup_order == order
         assert w.sigma == Permutation.cycle(list(range(1, p + 1)), m)
         assert w.st_squared != w.ts_squared
         assert w.orbit_answer == "no"
         assert w.verify()
+    for budget in (0, 1):
+        out = witness_search(7, 8, strategy="subgroup", budget=budget)
+        assert (out.status, out.pairs_tested, out.witness) == ("exhausted", budget, None)
+    for p, m in ((5, 6), (7, 7), (11, 11)):
+        out = witness_search(p, m, strategy="subgroup")
+        assert (out.status, out.pairs_tested, out.indeterminate) == ("exhausted", 0, 0)
+
+
+def test_type_d_pair_capped_search_is_indeterminate():
+    w = witness_search(13, 13, strategy="subgroup").witness
+    result = type_d_pair(w.sigma, w.tau, cap=1)
+    assert result.verdict == "Indeterminate"
+    assert result.decision is None
+    assert result.witness is None
+    assert result.subgroup_order == 5616
+
+
+def test_witness_search_indeterminate_blocks_absence(monkeypatch):
+    from rackforge import classify
+    from rackforge.rack import TypeDResult
+
+    undecided = []
+
+    def one_undecided(sigma, tau, **kwargs):
+        if not undecided:
+            undecided.append(tau)
+            return TypeDResult("Indeterminate", "capped for the test")
+        return type_d_pair(sigma, tau, **kwargs)
+
+    monkeypatch.setattr(classify, "type_d_pair", one_undecided)
+    out = witness_search(5, 5, strategy="exhaustive")
+    assert len(undecided) == 1
+    assert out.status == "exhausted"
+    assert out.pairs_tested == 12
+    assert out.indeterminate == 1
+    assert out.witness is None
 
 
 def test_witness_search_random_strategy():

@@ -85,6 +85,16 @@ def test_witness_exit_codes(capsys):
     assert report["result"]["pairs_tested"] == 12
 
 
+def test_negative_budget_is_a_domain_error(capsys):
+    runs = [("witness", "--strategy", strategy) for strategy in ("exhaustive", "random", "subgroup")]
+    runs.append(("census",))
+    for head in runs:
+        code, out, err = run_cli(capsys, *head, "--p", "7", "--m", "8", "--budget", "-1")
+        assert code == 1, head
+        assert out == ""
+        assert "error: budget must be a non-negative integer" in err.splitlines()
+
+
 def test_witness_reports_are_byte_identical_minus_clock(capsys):
     args = ("witness", "--p", "7", "--m", "8", "--strategy", "exhaustive", "--json")
     _, first, _ = run_json(capsys, *args)

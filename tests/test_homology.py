@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from rackforge.homology import (
     IntegerMatrix,
     boundary_matrices,
-    second_cohomology_structure,
     second_homology,
     smith_normal_form,
 )
@@ -219,25 +218,25 @@ def test_free_rank_of_second_homology_is_orbit_count_squared():
 
 
 def test_five_cycle_class_golden_value():
-    structure = second_cohomology_structure(class_rack(5, 5))
+    structure = second_homology(class_rack(5, 5))
     assert structure.free_rank == 1
     assert structure.torsion == (10,)
     assert structure.pretty == "k^× × G_10"
 
 
 def test_twentyfour_subrack_golden_value():
-    structure = second_cohomology_structure(twentyfour_subrack())
+    structure = second_homology(twentyfour_subrack())
     assert structure.free_rank == 1
     assert structure.torsion == (14,)
     assert structure.pretty == "k^× × G_14"
 
 
 def test_cohomology_pretty_rendering():
-    from rackforge.homology import CohomologyStructure
+    from rackforge.homology import HomologyResult
 
-    assert CohomologyStructure(0, ()).pretty == "1"
-    assert CohomologyStructure(2, (3, 6)).pretty == "k^× × k^× × G_3 × G_6"
-    assert CohomologyStructure(0, (2,)).to_json_dict() == {
+    assert HomologyResult(0, ()).pretty == "1"
+    assert HomologyResult(2, (3, 6)).pretty == "k^× × k^× × G_3 × G_6"
+    assert HomologyResult(0, (2,)).to_json_dict() == {
         "free_rank": 0,
         "torsion": [2],
         "pretty": "G_2",
