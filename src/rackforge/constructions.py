@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .gf import make_field, primitive_element
-from .groups import alternating_group, build_bsgs, conjugacy_orbit_contains
+from .groups import alternating_group, build_bsgs, conjugacy_class_list, conjugacy_orbit_contains
 from .numth import is_prime, prime_power_decompose
 from .perm import Permutation, conjugate
 
@@ -139,11 +139,14 @@ def order_p_class_reps(G, p, seed=0):
     """One representative per conjugacy class of order-p elements of G.
 
     Requires the Sylow p-subgroups to have order exactly p: they are then
-    cyclic and all conjugate, so every order-p element is conjugate into
-    the group generated by any single order-p element x, and the reps are
-    found by partitioning the powers x^l under G-conjugacy. The first x is
-    located by powering random elements up to their p-part within a
-    deterministic seeded budget.
+    cyclic and all conjugate, so every order-p element is conjugate to a
+    power of any one order-p element x, found by powering seeded random
+    elements up to their p-part. x^l ~ x^t exactly when x^(t/l) ~ x, so
+    H = {e : x^e ~ x} is a subgroup of (Z/p)^* whose cosets are the classes
+    of the powers, and the reps are x^l for the least l of each coset, in
+    increasing order. Deciding H takes one walk of the class of x, of
+    |G|/|C_G(x)| elements, or, when G is the full alternating or symmetric
+    group on the points it moves, p - 1 closed-form conjugacy tests.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -164,22 +167,18 @@ def order_p_class_reps(G, p, seed=0):
     if x is None:
         raise ValueError("no order-%d element found in %d samples" % (p, attempts))
 
+    powers = [None] + [x**e for e in range(1, p)]
+    if G.is_natural_alternating() or G.is_natural_symmetric():
+        h = [e for e in range(1, p) if conjugacy_orbit_contains(G, x, powers[e]).answer == "yes"]
+    else:
+        walk = {y.images for y in conjugacy_class_list(G, x)}
+        h = [e for e in range(1, p) if powers[e].images in walk]
     reps = []
-    assigned = [False] * p  # exponents 1..p-1
-    powers = [None] + [x**l for l in range(1, p)]
+    covered = set()
     for l in range(1, p):
-        if assigned[l]:
-            continue
-        reps.append(powers[l])
-        assigned[l] = True
-        for t in range(l + 1, p):
-            if assigned[t]:
-                continue
-            probe = conjugacy_orbit_contains(G, powers[l], powers[t])
-            if probe.answer == "capped":
-                raise ValueError("conjugacy orbit cap hit while partitioning")
-            if probe.answer == "yes":
-                assigned[t] = True
+        if l not in covered:
+            reps.append(powers[l])
+            covered.update(l * e % p for e in h)
     return reps
 
 

@@ -12,7 +12,13 @@ from rackforge.constructions import (
     psl_order,
     psl_permutation_group,
 )
-from rackforge.groups import alternating_conjugate, alternating_group, conjugacy_orbit_contains
+from rackforge import groups
+from rackforge.groups import (
+    alternating_conjugate,
+    alternating_group,
+    conjugacy_orbit_contains,
+    symmetric_group,
+)
 from rackforge.perm import Permutation
 
 
@@ -117,6 +123,135 @@ def test_order_p_class_reps_rejects_large_sylow():
         order_p_class_reps(alternating_group(6), 3)  # 9 divides 360
     with pytest.raises(ValueError):
         order_p_class_reps(alternating_group(5), 7)
+
+
+# (group, p, seed) -> (reps[0] in cycle notation, exponent l of each rep
+# x^l), pinned from a partition of the powers by pairwise orbit searches
+PINNED_REPS = {
+    (("L", 3, 2), 7, 0): ("(1 6 2 7 4 5 3)", (1, 3)),
+    (("L", 3, 2), 7, 1): ("(1 6 4 5 3 7 2)", (1, 3)),
+    (("L", 3, 2), 7, 5): ("(1 5 6 7 2 4 3)", (1, 3)),
+    (("L", 3, 3), 13, 0): ("(1 11 3 13 6 5 8 7 2 12 10 9 4)", (1, 2, 4, 7)),
+    (("L", 3, 3), 13, 1): ("(1 8 6 9 4 2 11 3 5 10 13 12 7)", (1, 2, 4, 7)),
+    (("L", 3, 3), 13, 5): ("(1 4 5 13 11 7 6 8 2 10 3 12 9)", (1, 2, 4, 7)),
+    (("L", 2, 4), 5, 0): ("(1 4 5 2 3)", (1, 2)),
+    (("L", 2, 4), 5, 1): ("(1 4 5 2 3)", (1, 2)),
+    (("L", 2, 4), 5, 5): ("(1 2 4 5 3)", (1, 2)),
+    (("L", 2, 8), 7, 0): ("(1 2 6 8 3 5 9)", (1, 2, 3)),
+    (("L", 2, 8), 7, 1): ("(1 5 6 9 3 4 7)", (1, 2, 3)),
+    (("L", 2, 8), 7, 5): ("(1 6 7 4 9 2 3)", (1, 2, 3)),
+    (("L", 2, 16), 17, 0): ("(1 2 5 4 13 16 14 3 11 17 9 12 10 15 6 7 8)", tuple(range(1, 9))),
+    (("L", 2, 16), 17, 1): ("(1 15 7 9 4 6 16 17 10 8 3 2 12 14 11 13 5)", tuple(range(1, 9))),
+    (("L", 2, 16), 17, 5): ("(1 9 14 12 7 17 4 3 10 11 2 5 16 6 13 15 8)", tuple(range(1, 9))),
+    (("L", 2, 27), 13, 0): (
+        "(1 17 26 24 7 25 21 13 18 9 19 14 23)(2 8 12 27 20 4 28 15 3 11 16 22 5)",
+        tuple(range(1, 7)),
+    ),
+    (("L", 2, 27), 13, 1): (
+        "(1 4 19 14 9 24 15 12 3 27 13 17 23)(2 18 25 26 16 6 8 7 20 28 21 11 10)",
+        tuple(range(1, 7)),
+    ),
+    (("L", 2, 27), 13, 5): (
+        "(1 20 19 11 9 13 16 28 22 5 21 25 12)(2 17 24 3 27 23 15 8 4 6 26 18 14)",
+        tuple(range(1, 7)),
+    ),
+    (("F", 3), 7, 0): ("(1 6 5 7 3 2 8)", tuple(range(1, 7))),
+    (("F", 3), 7, 1): ("(1 3 8 2 6 5 4)", tuple(range(1, 7))),
+    (("F", 3), 7, 5): ("(1 7 2 5 6 8 4)", tuple(range(1, 7))),
+    (("F", 5), 31, 0): (
+        "(1 22 26 27 2 29 19 4 15 5 21 17 18 25 20 11 6 30 28 9 24 12 13 23 3 8 16 14 32 10 31)",
+        tuple(range(1, 31)),
+    ),
+    (("F", 5), 31, 1): (
+        "(1 8 7 11 17 26 27 15 6 31 28 3 32 24 25 23 21 13 30 16 10 5 19 2 12 29 4 20 14 18 22)",
+        tuple(range(1, 31)),
+    ),
+    (("F", 5), 31, 5): (
+        "(1 12 31 14 4 24 20 6 11 10 22 25 17 26 8 2 29 7 23 5 30 18 15 32 27 28 13 21 16 9 3)",
+        tuple(range(1, 31)),
+    ),
+}
+
+
+def _pinned_cases():
+    """(group, p, seed, pinned reps[0], pinned exponents), each group built
+    once."""
+    built = {}
+    for (key, p, seed), (first, exponents) in PINNED_REPS.items():
+        if key not in built:
+            built[key] = (
+                psl_permutation_group(key[1], key[2]) if key[0] == "L" else affine_frobenius_group(key[1])
+            )
+        yield built[key], p, seed, first, exponents
+
+
+def _tuple_power(x, e):
+    y = tuple(range(len(x)))
+    for _ in range(e):
+        y = tuple(x[i] for i in y)
+    return y
+
+
+def _tuple_class(gens, x):
+    """The class of x under the group the generators produce, by
+    breadth-first conjugation y -> g y g^-1 on plain image tuples."""
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        fresh = []
+        for y in frontier:
+            for g in gens:
+                z = [0] * len(y)
+                for i, yi in enumerate(y):
+                    z[g[i]] = g[yi]
+                z = tuple(z)
+                if z not in seen:
+                    seen.add(z)
+                    fresh.append(z)
+        frontier = fresh
+    return seen
+
+
+def test_order_p_class_reps_match_pins_and_brute_force_classes():
+    for group, p, seed, first, exponents in _pinned_cases():
+        reps = order_p_class_reps(group, p, seed=seed)
+        x = reps[0].images
+        assert str(reps[0]) == first
+        assert [r.images for r in reps] == [_tuple_power(x, e) for e in exponents]
+        gens = [g.images for g in group.generators]
+        classes = [_tuple_class(gens, r.images) for r in reps]
+        for i, a in enumerate(classes):
+            for b in classes[i + 1:]:
+                assert a.isdisjoint(b)
+        for l in range(1, p):
+            assert sum(_tuple_power(x, l) in c for c in classes) == 1
+
+
+def test_order_p_class_reps_power_classes_are_cosets():
+    # H = {e : x^e ~ x}, by brute force, is a subgroup of (Z/p)^* whose
+    # cosets are the classes of the powers, one rep each at its least exponent
+    for group, p, seed, _, exponents in _pinned_cases():
+        reps = order_p_class_reps(group, p, seed=seed)
+        x = reps[0].images
+        cls = _tuple_class([g.images for g in group.generators], x)
+        h = {e for e in range(1, p) if _tuple_power(x, e) in cls}
+        assert all(a * b % p in h for a in h for b in h)
+        assert len(h) * len(reps) == p - 1
+        assert exponents == tuple(
+            l for l in range(1, p) if all(l * e % p >= l for e in h)
+        )
+
+
+def test_order_p_class_reps_uses_the_closed_form_on_natural_groups(monkeypatch):
+    # A_13 has 239,500,800 elements and a 13-cycle class of 23,950,080:
+    # any class walk here is a regression. Every walk, in the class list
+    # and in the orbit search, goes through the one generator _conjugates
+    def no_walk(*args, **kwargs):
+        raise AssertionError("class enumerated on a natural group")
+
+    monkeypatch.setattr(groups, "_conjugates", no_walk)
+    assert len(order_p_class_reps(alternating_group(13), 13)) == 2
+    assert len(order_p_class_reps(symmetric_group(13), 13)) == 1
 
 
 def test_natural_class_sizes():
