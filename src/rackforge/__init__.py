@@ -22,7 +22,7 @@ from .numth import (
     prime_power_decompose,
     primes_below,
 )
-from .gf import FieldElement, FieldSpec, make_field, primitive_element
+from .gf import FieldSpec, make_field, primitive_element
 from .groups import (
     PermGroup,
     alternating_conjugate,
@@ -92,7 +92,6 @@ __all__ = [
     "jacobi",
     "prime_power_decompose",
     "primes_below",
-    "FieldElement",
     "FieldSpec",
     "make_field",
     "primitive_element",

@@ -170,28 +170,18 @@ def _case_candidates(p, m, order):
 
 
 def _resolve_case(p, m, order, candidates):
-    """Collapse same-group tag overlaps; Ambiguous is reserved for rows
-    naming genuinely distinct groups."""
-    tags = {tag for tag, _ in candidates}
-    if len(candidates) <= 1:
-        pass
-    elif tags == {"iii", "xiii"} and m == p:
-        # one cyclotomic form makes L_k(r) the alternating group itself,
-        # e.g. L_2(4) = A_5; a single group, reported under the alternating tag
-        return FwCase("xiii", p, m, order, tuple(name for _, name in reversed(candidates)))
-    elif tags == {"v", "viii"}:
-        # L_2(11) on 12 points is both the generic L_2(p) row and the
-        # (11,12)-specific row; a single group
-        return FwCase("viii", p, m, order, ("L_2(11)",))
-    elif len(tags) > 1:
-        return FwCase("Ambiguous", p, m, order, tuple(name for _, name in candidates))
+    """The case of the rows matching (p, m, order). Rows overlap only where
+    they name one group (L_2(4) = A_5, L_2(11) in rows (v) and (viii), and
+    small coincidences at p <= 3 such as L_2(3) = A_4), so the last matching
+    row gives the tag and the names run from the last row to the first,
+    each once."""
     if not candidates:
         raise ValueError(
             "no case matches p=%d, m=%d, order=%d; outside the thirteen-case table"
             % (p, m, order)
         )
-    tag = candidates[0][0]
-    return FwCase(tag, p, m, order, tuple(name for _, name in candidates))
+    names = tuple(dict.fromkeys(name for _, name in reversed(candidates)))
+    return FwCase(candidates[-1][0], p, m, order, names)
 
 
 def _p_cycle_prime(perm):

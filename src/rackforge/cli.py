@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .acceptance import run_all, run_criterion
+from .acceptance import CRITERIA, run_criterion
 from .classify import (
     _reverify,
     classify_class,
@@ -273,6 +273,20 @@ def _write_rack(rack, path):
         handle.write("\n")
 
 
+def _group_report(args, config, group, label, started):
+    result = {
+        "degree": group.degree,
+        "order": group.order,
+        "generators": [format_cycles(g) for g in group.generators],
+    }
+    _emit(args, "construct", config, result, started)
+    if not args.json:
+        print("%s group on %d points, order %d" % (label, group.degree, group.order))
+        for line in result["generators"]:
+            print("  %s" % line)
+    return EXIT_OK
+
+
 def _cmd_construct(args):
     started = time.monotonic()
     if args.what == "class-rack":
@@ -311,33 +325,11 @@ def _cmd_construct(args):
     if args.what == "psl":
         group = psl_permutation_group(args.k, args.r)
         config = {"what": args.what, "k": args.k, "r": args.r}
-        result = {
-            "degree": group.degree,
-            "order": group.order,
-            "generators": [format_cycles(g) for g in group.generators],
-        }
-        _emit(args, "construct", config, result, started)
-        if not args.json:
-            print("linear group on %d points, order %d" % (group.degree, group.order))
-            for line in result["generators"]:
-                print("  %s" % line)
-        return EXIT_OK
+        return _group_report(args, config, group, "linear", started)
     if args.what == "frobenius":
         group = affine_frobenius_group(args.h)
         config = {"what": args.what, "h": args.h}
-        result = {
-            "degree": group.degree,
-            "order": group.order,
-            "generators": [format_cycles(g) for g in group.generators],
-        }
-        _emit(args, "construct", config, result, started)
-        if not args.json:
-            print(
-                "affine group on %d points, order %d" % (group.degree, group.order)
-            )
-            for line in result["generators"]:
-                print("  %s" % line)
-        return EXIT_OK
+        return _group_report(args, config, group, "affine", started)
     raise ValueError("unknown construction %r" % args.what)
 
 
@@ -364,17 +356,12 @@ def _cmd_verify_all(args):
     started = time.monotonic()
     if args.criteria:
         numbers = sorted({int(tok) for tok in args.criteria.split(",")})
-        results = []
-        for number in numbers:
-            _log("running criterion %d" % number)
-            results.append(run_criterion(number))
     else:
-        results = []
-        from .acceptance import CRITERIA
-
-        for criterion in CRITERIA:
-            _log("running criterion %d: %s" % (criterion.number, criterion.name))
-            results.append(run_criterion(criterion.number))
+        numbers = [criterion.number for criterion in CRITERIA]
+    results = []
+    for number in numbers:
+        _log("running criterion %d" % number)
+        results.append(run_criterion(number))
     passed = sum(1 for r in results if r.passed)
     payload = {
         "passed": passed,

@@ -2,8 +2,9 @@
 projective special linear groups acting on projective points, affine
 Frobenius groups on a binary field, and the class of p-cycles at a degree.
 
-All constructions are deterministic: point orderings come from the field's
-index bijection, so the same (k, r) always yields the same generators.
+All constructions are deterministic: field elements are their codes in
+0..q-1 (see gf.py) and points are ordered by their tuples of codes, so the
+same (k, r) always yields the same generators.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations, permutations, product
 from math import factorial, gcd
 
 from .gf import make_field, primitive_element
@@ -36,9 +38,9 @@ __all__ = [
 class ProjectivePointIndex:
     """Normalized representatives of the points of P^(k-1)(F_r).
 
-    Each point is a tuple of k field elements whose first nonzero coordinate
-    is 1, ordered lexicographically by coordinate indices. `index` maps a
-    normalized vector to its 1-based position.
+    Each point is a tuple of k field codes whose first nonzero coordinate
+    is 1, in increasing tuple order. `index` maps a normalized vector to its
+    1-based position.
     """
 
     field: object
@@ -52,10 +54,13 @@ class ProjectivePointIndex:
 
     def normalize(self, vector):
         """Scale so the first nonzero coordinate is 1."""
+        field = self.field
         for c in vector:
-            if not c.is_zero():
-                inv = c.inverse()
-                return tuple(v * inv for v in vector)
+            if c == 1:
+                return vector
+            if c:
+                inv = field.inv(c)
+                return tuple(field.mul(v, inv) for v in vector)
         raise ValueError("zero vector has no projective point")
 
 
@@ -64,24 +69,13 @@ def projective_points(k, r):
     if k < 2:
         raise ValueError("need k >= 2")
     field = make_field(r)
-    elements = field.elements()
-    zero, one = field.zero(), field.one()
-
-    points = []
     # normalized vectors: first nonzero coordinate is 1, so they are exactly
-    # (0,...,0,1,free,...,free) with the 1 in position i
-    for lead in range(k):
-        tail_len = k - lead - 1
-        stack = [()]
-        for _ in range(tail_len):
-            stack = [t + (e,) for t in stack for e in elements]
-        for tail in stack:
-            points.append((zero,) * lead + (one,) + tail)
-
-    def sort_key(vec):
-        return tuple(field.element_index(c) for c in vec)
-
-    points.sort(key=sort_key)
+    # (0,...,0,1,free,...,free) with the 1 in position lead
+    points = sorted(
+        (0,) * lead + (1,) + tail
+        for lead in range(k)
+        for tail in product(range(field.q), repeat=k - lead - 1)
+    )
     index = {vec: i + 1 for i, vec in enumerate(points)}
     return ProjectivePointIndex(field=field, k=k, points=tuple(points), index=index)
 
@@ -110,8 +104,7 @@ def psl_permutation_group(k, r):
     geometry = projective_points(k, r)
     field = geometry.field
     degree = geometry.count
-    basis = [field.element_at(field.s**t + 1) for t in range(field.a)]
-    # element_at(s^t + 1) is x^t: encoding 1 + sum(c_i s^i) with c_t = 1
+    basis = [field.s**t for t in range(field.a)]  # the codes of x^t
 
     generators = []
     for i in range(k):
@@ -122,7 +115,7 @@ def psl_permutation_group(k, r):
                 images = []
                 for vec in geometry.points:
                     w = list(vec)
-                    w[i] = w[i] + b * vec[j]
+                    w[i] = field.add(w[i], field.mul(b, vec[j]))
                     moved = geometry.normalize(tuple(w))
                     images.append(geometry.index[moved] - 1)
                 generators.append(Permutation(images))
@@ -184,21 +177,17 @@ def order_p_class_reps(G, p, seed=0):
 
 def affine_frobenius_group(h):
     """The Frobenius group F_q x| F_q^* for q = 2^h, acting on the q field
-    elements (labelled by the field's index bijection), generated by the
-    translation e -> e + 1 and a dilation e -> g e by a primitive g.
+    elements (labelled by their codes), generated by the translation
+    e -> e + 1 and a dilation e -> g e by a primitive g.
     Order q(q - 1).
     """
     if h < 2:
         raise ValueError("need h >= 2")
     field = make_field(2**h)
     q = field.q
-    one = field.one()
     g = primitive_element(field)
-    elements = field.elements()
-    translation = Permutation(
-        field.element_index(e + one) - 1 for e in elements
-    )
-    dilation = Permutation(field.element_index(g * e) - 1 for e in elements)
+    translation = Permutation(field.add(e, 1) for e in range(q))
+    dilation = Permutation(field.mul(g, e) for e in range(q))
     group = build_bsgs([translation, dilation], degree=q)
     if group.order != q * (q - 1):
         raise AssertionError(
@@ -242,8 +231,6 @@ def class_elements(p, m):
     (1 2 ... p), decided by the parity of an aligning conjugator. The class
     of p-cycles always splits since the type is all-odd-all-distinct.
     """
-    from itertools import combinations, permutations
-
     natural_class(p, m)  # validates the (p, m) combination
     for support in combinations(range(1, m + 1), p):
         for rest in permutations(support[1:]):

@@ -79,15 +79,17 @@ class Permutation:
 
     @classmethod
     def cycle(cls, points, degree):
-        """Single cycle through the given 1-based points, rest fixed."""
+        """Single cycle through the given 1-based points, rest fixed.
+        Repeated points and points outside 1..degree raise ValueError."""
         images = list(range(degree))
         pts = [p - 1 for p in points]
+        if len(set(pts)) != len(pts):
+            raise ValueError("repeated point in cycle %s" % (tuple(points),))
         for a, b in zip(pts, pts[1:] + pts[:1]):
             if not 0 <= a < degree:
                 raise ValueError("point %d out of range 1..%d" % (a + 1, degree))
             images[a] = b
-        perm = cls(images)
-        return perm
+        return cls(images)
 
     # -- basic protocol ----------------------------------------------------
 

@@ -1,11 +1,14 @@
 import dataclasses
 import random
+from math import factorial
 
 import pytest
 
 from rackforge import acceptance
 from rackforge.classify import (
     DEEP_GATE,
+    _case_candidates,
+    _resolve_case,
     classify_class,
     fw_identify,
     lemma_square_check,
@@ -14,9 +17,14 @@ from rackforge.classify import (
     symmetric_group_witness,
     witness_search,
 )
-from rackforge.constructions import natural_class
+from rackforge.constructions import natural_class, psl_order
 from rackforge.groups import build_bsgs
-from rackforge.numth import is_prime, prime_power_decompose, primes_below
+from rackforge.numth import (
+    cyclotomic_decompositions,
+    is_prime,
+    prime_power_decompose,
+    primes_below,
+)
 from rackforge.perm import Permutation, conjugate, format_cycles
 from rackforge.rack import type_d_pair
 
@@ -161,6 +169,62 @@ def test_fw_identify_affine_case_at_eight_points():
         [_tuple_cycle([1, 2, 3, 4, 5, 6, 7], 8), _tuple_cycle([1, 2, 3, 5, 4, 6, 8], 8)]
     )
     assert len(closure) == case.order
+
+
+# every (p, m, order) that two or more case-table rows match, for primes
+# below 200, with the case reported there; each names a single group
+CASE_OVERLAPS = {
+    (2, 3, 6): ("xii", ("S_3", "L_2(2)")),
+    (2, 4, 12): ("xiii", ("A_4", "L_2(3)")),
+    (3, 3, 3): ("xiii", ("A_3", "Z/3")),
+    (3, 3, 6): ("xii", ("S_3", "L_2(2)")),
+    (3, 4, 12): ("xiii", ("A_4", "Frobenius(12)", "L_2(3)")),
+    (3, 5, 60): ("xiii", ("A_5", "L_2(4)")),
+    (5, 5, 60): ("xiii", ("A_5", "L_2(4)")),
+    (11, 12, 660): ("viii", ("L_2(11)",)),
+}
+
+
+def _row_orders(p, m):
+    """Every order some case-table row can match at (p, m)."""
+    orders = {p, p * p, 6, 660, 7920, 95_040, 10_200_960, 244_823_040}
+    orders |= {m * p, factorial(m) // 2, psl_order(2, p)}
+    orders |= {psl_order(k, r) for r, k in cyclotomic_decompositions(p)}
+    if prime_power_decompose(p + 1) is not None:
+        orders.add(psl_order(2, p + 1))
+    power = prime_power_decompose(m)
+    if power is not None and power[0] == 2:
+        orders.add(m * psl_order(power[1], 2))
+    return orders
+
+
+def test_case_table_overlaps_resolve_to_one_group():
+    found = {}
+    for p in primes_below(200):
+        for m in {p, p + 1, p + 2, 2 * p, 3, 12, 24}:
+            for order in _row_orders(p, m):
+                rows = _case_candidates(p, m, order)
+                if len(rows) > 1:
+                    case = _resolve_case(p, m, order, rows)
+                    found[p, m, order] = (case.tag, case.names)
+    assert found == CASE_OVERLAPS
+
+
+@pytest.mark.parametrize(
+    "sigma,tau,degree,key",
+    [
+        ("(1 2)", "(2 3)", 3, (2, 3, 6)),
+        ("(1 2 3)", "(1 3 2)", 3, (3, 3, 3)),
+        ("(1 2 3)", "(2 3 4)", 4, (3, 4, 12)),
+        ("(1 2 3)", "(3 4 5)", 5, (3, 5, 60)),
+    ],
+)
+def test_fw_identify_small_cycles_name_one_group(sigma, tau, degree, key):
+    case = fw_identify(
+        Permutation.from_cycles(sigma, degree), Permutation.from_cycles(tau, degree)
+    )
+    assert (case.p, case.m, case.order) == key
+    assert (case.tag, case.names) == CASE_OVERLAPS[key]
 
 
 def test_fw_identify_rejects_non_p_cycles():

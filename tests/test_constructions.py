@@ -33,10 +33,12 @@ def test_projective_point_counts():
 
 def test_projective_normalization():
     geometry = projective_points(3, 3)
+    assert list(geometry.points) == sorted(geometry.points)
     for vec in geometry.points:
-        nonzero = [c for c in vec if not c.is_zero()]
-        assert nonzero and nonzero[0].is_one()
+        nonzero = [c for c in vec if c]
+        assert nonzero and nonzero[0] == 1
         assert geometry.points[geometry.index[vec] - 1] == vec
+        assert geometry.normalize(tuple(2 * c % 3 for c in vec)) == vec
 
 
 def test_psl_orders():

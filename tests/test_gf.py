@@ -15,19 +15,16 @@ def test_make_field_rejects_non_prime_powers():
 
 
 def test_field_has_q_distinct_elements():
+    # the codes 0..q-1 are q distinct elements: adding any a, or multiplying
+    # by any nonzero a, permutes them
     for q in FIELD_SIZES:
         field = make_field(q)
-        elems = field.elements()
-        assert len(elems) == q
-        assert len(set(elems)) == q
-
-
-def test_index_bijection_roundtrip():
-    for q in FIELD_SIZES:
-        field = make_field(q)
-        for i in range(1, q + 1):
-            assert field.element_index(field.element_at(i)) == i
-        assert field.element_index(field.zero()) == 1
+        assert field.q == field.s**field.a == q
+        codes = set(range(q))
+        for a in range(q):
+            assert {field.add(a, b) for b in range(q)} == codes
+            if a:
+                assert {field.mul(a, b) for b in range(q)} == codes
 
 
 def test_known_moduli():
@@ -41,40 +38,31 @@ def test_primitive_element_generates_everything():
     for q in FIELD_SIZES:
         field = make_field(q)
         g = primitive_element(field)
-        assert g.multiplicative_order() == q - 1
-        powers = set()
-        acc = field.one()
-        for _ in range(q - 1):
-            powers.add(acc)
-            acc = acc * g
-        assert len(powers) == q - 1
+        powers = {field.pow(g, n) for n in range(q - 1)}
+        assert powers == set(range(1, q))
+        # the least such code
+        assert all(
+            len({field.pow(h, n) for n in range(q - 1)}) < q - 1 for h in range(1, g)
+        )
 
 
 def test_field_axioms_on_samples():
     rng = random.Random(21)
     for q in FIELD_SIZES:
         field = make_field(q)
-        elems = field.elements()
+        add, mul = field.add, field.mul
         for _ in range(150):
-            a, b, c = (rng.choice(elems) for _ in range(3))
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + field.zero() == a
-            assert a * field.one() == a
-            assert a - a == field.zero()
-            if not b.is_zero():
-                assert (a / b) * b == a
-                assert b * b.inverse() == field.one()
-
-
-def test_negation_and_subtraction():
-    field = make_field(5)
-    a = field.element((3,))
-    assert (-a) + a == field.zero()
-    assert a - field.element((1,)) == field.element((2,))
+            a, b, c = (rng.randrange(q) for _ in range(3))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, 0) == a
+            assert mul(a, 1) == a
+            if b:
+                assert mul(mul(a, field.inv(b)), b) == a
+                assert mul(b, field.inv(b)) == 1
 
 
 def test_frobenius_is_additive():
@@ -82,33 +70,23 @@ def test_frobenius_is_additive():
     for q in (4, 8, 9, 16, 27):
         field = make_field(q)
         s = field.s
-        elems = field.elements()
-        for a in elems:
-            for b in elems:
-                assert (a + b) ** s == a**s + b**s
+        for a in range(q):
+            for b in range(q):
+                assert field.pow(field.add(a, b), s) == field.add(
+                    field.pow(a, s), field.pow(b, s)
+                )
 
 
 def test_pow_and_division_errors():
     field = make_field(9)
-    z = field.zero()
     with pytest.raises(ZeroDivisionError):
-        field.one() / z
+        field.inv(0)
     with pytest.raises(ZeroDivisionError):
-        z.inverse()
-    with pytest.raises(ValueError):
-        z.multiplicative_order()
+        field.pow(0, -1)
 
 
 def test_fermat_little_theorem():
     for q in FIELD_SIZES:
         field = make_field(q)
-        for a in field.elements():
-            if not a.is_zero():
-                assert a ** (q - 1) == field.one()
-
-
-def test_mixed_field_arithmetic_rejected():
-    a = make_field(4).one()
-    b = make_field(8).one()
-    with pytest.raises(ValueError):
-        a + b
+        for a in range(1, q):
+            assert field.pow(a, q - 1) == 1

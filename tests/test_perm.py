@@ -28,6 +28,15 @@ def test_identity_and_cycle_basics():
     assert c.support() == (1, 2, 3)
 
 
+def test_cycle_rejects_bad_points():
+    # a repeated point would silently give a shorter cycle: (1 2 1 2) is not (1 2)
+    for points in ([1, 2, 1, 2], [1, 1], [3, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            Permutation.cycle(points, 4)
+    with pytest.raises(ValueError):
+        Permutation.cycle([1, 5], 4)
+
+
 def test_compose_applies_right_factor_first():
     a = Permutation.cycle([1, 2, 3], 3)
     assert compose(a, a) == Permutation.cycle([1, 3, 2], 3)
