@@ -71,7 +71,6 @@ from .classify import (
     classify_class,
     fw_identify,
     lemma_square_check,
-    regular_product_check,
     subrack_census,
     symmetric_group_witness,
     witness_search,
@@ -134,7 +133,6 @@ __all__ = [
     "classify_class",
     "fw_identify",
     "lemma_square_check",
-    "regular_product_check",
     "subrack_census",
     "symmetric_group_witness",
     "witness_search",

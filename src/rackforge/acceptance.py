@@ -26,7 +26,6 @@ from .classify import (
     witness_search,
 )
 from .constructions import (
-    class_elements,
     natural_class,
     order_p_class_reps,
     psl_permutation_group,

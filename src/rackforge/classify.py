@@ -4,8 +4,7 @@ Four layers: the closed-form verdict for the class of p-cycles in the
 alternating group of degree p or p+1; identification of the subgroup two
 p-cycles generate against the thirteen-case list; witness search that
 exhibits or refutes pairs satisfying the two axioms; and censuses over the
-class (subrack closures, the square-commuting dichotomy, regular products
-in the linear groups).
+class (subrack closures and the square-commuting dichotomy).
 
 Searches fix the first element to the standard p-cycle: conjugation by any
 even permutation carries pairs to pairs and preserves both axioms, so the
@@ -33,6 +32,7 @@ from .groups import (
     alternating_conjugate,
     build_bsgs,
     conjugacy_class_list,
+    conjugacy_orbit_contains,
 )
 from .numth import cyclotomic_decompositions, is_prime, prime_power_decompose
 from .perm import Permutation, conjugate
@@ -46,8 +46,6 @@ __all__ = [
     "SearchOutcome",
     "witness_search",
     "symmetric_group_witness",
-    "RegularProductReport",
-    "regular_product_check",
     "CensusRow",
     "CensusReport",
     "subrack_census",
@@ -369,74 +367,6 @@ def symmetric_group_witness(p):
 
 
 @dataclass(frozen=True)
-class RegularProductReport:
-    """Per ordered pair of distinct order-p classes in L_k(r): whether some
-    tau in the second class gives sigma tau of order outside {1, 2, p}."""
-
-    k: int
-    r: int
-    p: int
-    group_order: int
-    class_count: int
-    class_size: int
-    pairs: tuple  # (i, j, found, example_order or None)
-
-    @property
-    def all_found(self):
-        return all(found for _, _, found, _ in self.pairs)
-
-    def to_json_dict(self):
-        return {
-            "k": self.k,
-            "r": self.r,
-            "p": self.p,
-            "group_order": self.group_order,
-            "class_count": self.class_count,
-            "class_size": self.class_size,
-            "pairs": [
-                {"first": i, "second": j, "found": found, "example_order": ex}
-                for i, j, found, ex in self.pairs
-            ],
-            "all_found": self.all_found,
-        }
-
-
-def regular_product_check(k, r, seed=0):
-    """Exhaustively search each ordered pair of distinct order-p classes of
-    L_k(r) for a product of order outside {1, 2, p}."""
-    q = sum(r**i for i in range(k))
-    if not is_prime(q):
-        raise ValueError("(r^k - 1)/(r - 1) = %d is not prime" % q)
-    p = q
-    group = psl_permutation_group(k, r)
-    reps = order_p_class_reps(group, p, seed=seed)
-    classes = [conjugacy_class_list(group, rep) for rep in reps]
-    rows = []
-    for i, first in enumerate(reps):
-        for j, second_class in enumerate(classes):
-            if i == j:
-                continue
-            found = False
-            example = None
-            for tau in second_class:
-                order = (first * tau).order()
-                if order not in (1, 2, p):
-                    found = True
-                    example = order
-                    break
-            rows.append((i, j, found, example))
-    return RegularProductReport(
-        k=k,
-        r=r,
-        p=p,
-        group_order=group.order,
-        class_count=len(reps),
-        class_size=len(classes[0]) if classes else 0,
-        pairs=tuple(rows),
-    )
-
-
-@dataclass(frozen=True)
 class CensusRow:
     closure_size: int
     case_tag: str
@@ -477,18 +407,16 @@ def _closure_size(sigma, tau, subgroup):
     {sigma, tau} consists of exactly these conjugates, since every element
     of the closure is a word conjugate and every word conjugate arises."""
     if subgroup.is_natural_alternating():
-        moved = subgroup.moved_points()
-        u = len(moved)
-        # H is the alternating group on its moved points; count p-cycles in
-        # closed form. The symmetric class splits in Alt(U) exactly when the
-        # cycle type is all odd lengths, all distinct, i.e. u - p <= 1 here.
+        # H is the alternating group on its moved points U; count p-cycles
+        # in closed form. The symmetric class splits in Alt(U) exactly when
+        # the cycle type is all odd lengths, all distinct, i.e. u - p <= 1
+        # here, and then the closure is one half when the two are conjugate.
+        u = len(subgroup.moved_points())
         p = len(sigma.cycles()[0])
         total = factorial(u) // (p * factorial(u - p))
-        if u - p > 1:
-            return total
-        sr = sigma.restricted_to(moved)
-        tr = tau.restricted_to(moved)
-        return total // 2 if alternating_conjugate(sr, tr, u) else total
+        if u - p <= 1 and conjugacy_orbit_contains(subgroup, sigma, tau).answer == "yes":
+            return total // 2
+        return total
     first = conjugacy_class_list(subgroup, sigma)
     if tau in set(first):
         return len(first)

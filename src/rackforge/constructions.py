@@ -207,10 +207,6 @@ class NaturalClass:
     sigma: Permutation
     class_size: int
 
-    @property
-    def type_notation(self):
-        return "(%s)" % (", ".join(["1"] * (self.m - self.p) + [str(self.p)]))
-
 
 def natural_class(p, m):
     if not is_prime(p) or p < 5:

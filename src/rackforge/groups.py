@@ -256,7 +256,6 @@ class OrbitProbe:
 
     answer: str  # 'yes' | 'no' | 'capped'
     visited: int
-    cap: int
 
 
 def _conjugates(group, x):
@@ -279,12 +278,15 @@ def _conjugates(group, x):
 
 
 def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
-    """Decide whether target is a group-conjugate of x.
+    """Decide whether target is a group-conjugate of x, for any two
+    permutations of the group's degree.
 
-    Breadth-first search of {g x g^-1} by generator conjugation with a
-    visited-set cap. When the group is the full alternating (or symmetric)
-    group on its degree the answer comes from the class-splitting criterion
-    instead of enumeration.
+    When the group is the full alternating or symmetric group on the points
+    U it moves and both inputs fix every point outside U, the answer comes
+    in closed form with visited = 0: in Alt(U) from alternating_conjugate on
+    the pair restricted to U, in Sym(U) from equal cycle types. Otherwise a
+    breadth-first search of {g x g^-1} by generator conjugation with a
+    visited-set cap.
     """
     n = group.degree
     if x.degree != n or target.degree != n:
@@ -296,31 +298,21 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
         for i in range(n)
         if i + 1 not in moved_set
     )
-    alternating = confined and group.is_natural_alternating()
-    if alternating:
-        xr = x.restricted_to(moved)
-        tr = target.restricted_to(moved)
-        if xr.parity() == 1 and tr.parity() == 1:
-            answer = alternating_conjugate(xr, tr, len(moved))
-            return OrbitProbe("yes" if answer else "no", 0, cap)
-        if xr.parity() != tr.parity():
-            return OrbitProbe("no", 0, cap)
-        # both odd: some even-length cycle centralizes, so the class does
-        # not split and conjugacy reduces to equal cycle type
-    if alternating or (confined and group.is_natural_symmetric()):
-        same = sorted(map(len, x.cycles(include_fixed=True))) == sorted(
-            map(len, target.cycles(include_fixed=True))
-        )
-        return OrbitProbe("yes" if same else "no", 0, cap)
+    if confined and group.is_natural_alternating():
+        same = alternating_conjugate(x.restricted_to(moved), target.restricted_to(moved))
+        return OrbitProbe("yes" if same else "no", 0)
+    if confined and group.is_natural_symmetric():
+        same = _aligning_conjugator(x, target) is not None
+        return OrbitProbe("yes" if same else "no", 0)
     goal = target.images
     visited = 0
     for z in _conjugates(group, x.images):
         visited += 1
         if z == goal:
-            return OrbitProbe("yes", visited, cap)
+            return OrbitProbe("yes", visited)
         if visited > max(cap, 1):  # x itself never trips the cap
-            return OrbitProbe("capped", visited, cap)
-    return OrbitProbe("no", visited, cap)
+            return OrbitProbe("capped", visited)
+    return OrbitProbe("no", visited)
 
 
 def conjugacy_class_list(group, x, cap=10_000_000):
@@ -337,19 +329,19 @@ def conjugacy_class_list(group, x, cap=10_000_000):
 
 
 def alternating_conjugate(sigma, tau, m=None):
-    """Whether sigma and tau are conjugate inside the alternating group A_m.
+    """Whether sigma and tau are conjugate inside the alternating group A_m,
+    for any two permutations of degree m.
 
-    Both inputs must be even permutations of degree m. Builds one aligning
-    conjugator; if it is even the answer is yes, otherwise yes exactly when
-    the cycle type is not all-odd-all-distinct (fixed points counted as
-    1-cycles), i.e. when the symmetric-group class does not split.
+    Builds one aligning conjugator; there is none when the cycle types
+    differ. If it is even the answer is yes, otherwise yes exactly when the
+    cycle type is not all-odd-all-distinct (fixed points counted as
+    1-cycles), i.e. when the symmetric-group class does not split. An odd
+    type holds an even-length cycle, so it never splits.
     """
     if m is None:
         m = sigma.degree
     if sigma.degree != m or tau.degree != m:
         raise ValueError("degree mismatch")
-    if sigma.parity() != 1 or tau.parity() != 1:
-        raise ValueError("alternating_conjugate needs even permutations")
     g = _aligning_conjugator(sigma, tau)
     if g is None:
         return False

@@ -59,12 +59,6 @@ class IntegerMatrix:
                     entries[(r, c)] = int(v)
         return cls(rows, cols, entries)
 
-    def to_dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     @property
     def nnz(self):
         return len(self.entries)

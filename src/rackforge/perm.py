@@ -74,10 +74,6 @@ class Permutation:
         return cls(i - 1 for i in images)
 
     @classmethod
-    def from_cycles(cls, text, degree):
-        return parse_cycles(text, degree)
-
-    @classmethod
     def cycle(cls, points, degree):
         """Single cycle through the given 1-based points, rest fixed.
         Repeated points and points outside 1..degree raise ValueError."""
@@ -172,9 +168,6 @@ class Permutation:
         swaps = sum(len(c) - 1 for c in self.cycles())
         return -1 if swaps & 1 else 1
 
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
-
     def extend(self, degree):
         """Same mapping viewed at a larger degree, new points fixed."""
         if degree < len(self.images):
@@ -198,8 +191,16 @@ class Permutation:
 
     @classmethod
     def from_json_dict(cls, data):
-        images = data["images"]
-        if data.get("degree") != len(images):
+        """Read the portable form, which is untrusted: anything but an
+        object whose integer degree matches its list of integer images
+        raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a permutation needs 'degree' and 'images' fields")
+        images = data.get("images")
+        degree = data.get("degree")
+        if not isinstance(images, list) or not all(type(v) is int for v in images):
+            raise ValueError("images must be a list of integers")
+        if type(degree) is not int or degree != len(images):
             raise ValueError("degree field does not match images length")
         return cls.from_one_based(images)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .constructions import class_elements, natural_class
 from .groups import build_bsgs, conjugacy_orbit_contains
-from .perm import Permutation, _compose, _conj, _inverse, format_cycles
+from .perm import Permutation, _compose, _conj, format_cycles
 
 __all__ = [
     "FiniteRack",
@@ -38,7 +38,7 @@ class FiniteRack:
     convenience only and does not enter equality or serialization.
     """
 
-    __slots__ = ("table", "labels", "elements", "_inv_rows")
+    __slots__ = ("table", "labels", "elements")
 
     def __init__(self, table, labels=None, elements=None, check=True):
         tab = tuple(tuple(row) for row in table)
@@ -55,7 +55,6 @@ class FiniteRack:
         self.table = tab
         self.labels = labels
         self.elements = elements
-        self._inv_rows = None
 
     @property
     def size(self):
@@ -63,15 +62,6 @@ class FiniteRack:
 
     def act(self, x, y):
         return self.table[x][y]
-
-    def act_inverse(self, x, y):
-        """The unique z with act(x, z) = y."""
-        if self._inv_rows is None:
-            self._inv_rows = tuple(_inverse(row) for row in self.table)
-        return self._inv_rows[x][y]
-
-    def is_quandle(self):
-        return all(row[x] == x for x, row in enumerate(self.table))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteRack):
@@ -263,9 +253,9 @@ class TypeDWitness:
     subgroup_order: int
     orbit_answer: str
 
-    def verify(self, cap=10_000_000):
+    def verify(self):
         """Re-check both conditions directly from the stored pair."""
-        result = type_d_pair(self.sigma, self.tau, cap=cap)
+        result = type_d_pair(self.sigma, self.tau)
         return (
             result.verdict == "Witness"
             and result.witness.st_squared == self.st_squared
@@ -306,16 +296,6 @@ class TypeDResult:
     reason: str
     witness: Optional[TypeDWitness] = None
     subgroup_order: Optional[int] = None
-
-    @property
-    def decision(self):
-        """True for Witness, False for either axiom failing, None when
-        undecided."""
-        if self.verdict == "Witness":
-            return True
-        if self.verdict == "Indeterminate":
-            return None
-        return False
 
 
 def type_d_pair(sigma, tau, cap=10_000_000):

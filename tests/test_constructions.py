@@ -1,5 +1,4 @@
 import random
-from math import factorial
 
 import pytest
 
@@ -95,7 +94,7 @@ def test_affine_frobenius_is_regular_on_nonzero_orders():
     for _ in range(300):
         x = g.sample(rng)
         fixed = [a for a in range(1, 9) if x(a) == a]
-        assert x.is_identity() or len(fixed) <= 1
+        assert x == Permutation.identity(8) or len(fixed) <= 1
 
 
 def test_order_p_class_reps_counts():
@@ -263,7 +262,6 @@ def test_natural_class_sizes():
     assert natural_class(7, 8).class_size == 2880
     assert natural_class(11, 11).class_size == 1814400
     assert natural_class(5, 5).sigma == Permutation.cycle([1, 2, 3, 4, 5], 5)
-    assert natural_class(5, 6).type_notation == "(1, 5)"
 
 
 def test_natural_class_rejects_bad_input():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import permutations as all_perms
@@ -12,17 +13,17 @@ from rackforge.groups import (
     conjugacy_orbit_contains,
     symmetric_group,
 )
-from rackforge.perm import Permutation, conjugate
+from rackforge.perm import Permutation, conjugate, parse_cycles
+
+
+@functools.lru_cache(maxsize=None)
+def _even_perms(m):
+    return [g for g in map(Permutation, all_perms(range(m))) if g.parity() == 1]
 
 
 def brute_alternating_conjugate(sigma, tau):
     """Oracle: search every even conjugator of the small degree directly."""
-    m = sigma.degree
-    for images in all_perms(range(m)):
-        g = Permutation(images)
-        if g.parity() == 1 and conjugate(g, sigma) == tau:
-            return True
-    return False
+    return any(conjugate(g, sigma) == tau for g in _even_perms(sigma.degree))
 
 
 def random_even(degree, rng):
@@ -46,7 +47,7 @@ def test_natural_group_detection():
     assert symmetric_group(6).is_natural_symmetric()
     assert not symmetric_group(6).is_natural_alternating()
     klein = build_bsgs(
-        [Permutation.from_cycles("(1 2)(3 4)", 4), Permutation.from_cycles("(1 3)(2 4)", 4)]
+        [parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)]
     )
     assert klein.order == 4
     assert not klein.is_natural_alternating()
@@ -63,7 +64,7 @@ def test_membership_in_proper_subgroup():
     # <(1 2 3 4 5 6 7), (2 4 3 7 5 6)> has order 56 inside A_8 territory
     gens = [
         Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7),
-        Permutation.from_cycles("(2 4 3 7 5 6)", 7),
+        parse_cycles("(2 4 3 7 5 6)", 7),
     ]
     g = build_bsgs(gens)
     for gen in gens:
@@ -117,7 +118,7 @@ def test_conjugacy_class_list_sizes():
 
 def test_conjugacy_class_list_members_are_conjugate():
     a6 = alternating_group(6)
-    x = Permutation.from_cycles("(1 2 3)(4 5 6)", 6)
+    x = parse_cycles("(1 2 3)(4 5 6)", 6)
     cls = conjugacy_class_list(a6, x)
     assert len(cls) == 40
     assert len(set(cls)) == 40
@@ -145,14 +146,14 @@ def test_conjugacy_orbit_cap_reports_capped():
     # inside a proper subgroup the search must enumerate, so a tiny cap trips
     gens = [
         Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7),
-        Permutation.from_cycles("(2 4 3 7 5 6)", 7),
+        parse_cycles("(2 4 3 7 5 6)", 7),
     ]
     g = build_bsgs(gens)
     x = Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7)
     probe = conjugacy_orbit_contains(g, x, Permutation.identity(7), cap=2)
     assert probe.answer in ("no", "capped")
     if probe.answer == "capped":
-        assert probe.visited > probe.cap
+        assert probe.visited > 2
 
 
 def test_conjugacy_orbit_cap_counts_are_pinned():
@@ -160,7 +161,7 @@ def test_conjugacy_orbit_cap_counts_are_pinned():
     # past the cap is still found
     gens = [
         Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7),
-        Permutation.from_cycles("(2 4 3 7 5 6)", 7),
+        parse_cycles("(2 4 3 7 5 6)", 7),
     ]
     g = build_bsgs(gens)
     x = gens[0]
@@ -184,7 +185,6 @@ def test_conjugacy_orbit_cap_counts_are_pinned():
     for cap, answers in expected.items():
         probes = [conjugacy_orbit_contains(g, x, t, cap=cap) for t in targets]
         assert [(p.answer, p.visited) for p in probes] == answers, cap
-        assert all(p.cap == cap for p in probes)
     identity = Permutation.identity(7)
     assert conjugacy_class_list(g, identity, cap=0) == [identity]
     assert conjugacy_class_list(g, x, cap=6) == cls
@@ -260,9 +260,83 @@ def test_alternating_conjugate_splitting_cases():
     assert alternating_conjugate(t, conjugate(Permutation.cycle([1, 2], 5), t))
 
 
-def test_alternating_conjugate_rejects_odd_inputs():
-    with pytest.raises(ValueError):
-        alternating_conjugate(Permutation.cycle([1, 2], 4), Permutation.cycle([3, 4], 4))
+def test_alternating_conjugate_all_pairs_against_brute_force():
+    # every ordered pair of S_n for n <= 5, odd and mixed-parity pairs too
+    for n in range(1, 6):
+        perms = [Permutation(images) for images in all_perms(range(n))]
+        for sigma in perms:
+            for tau in perms:
+                assert alternating_conjugate(sigma, tau) == brute_alternating_conjugate(
+                    sigma, tau
+                ), (sigma, tau)
+
+
+def _bfs_orbit(gens, x):
+    """Oracle: the conjugacy orbit of the image tuple x under the image
+    tuples gens, by plain breadth-first search."""
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        found = []
+        for y in frontier:
+            for g in gens:
+                z = [0] * len(g)
+                for i in range(len(g)):
+                    z[g[i]] = g[y[i]]
+                z = tuple(z)
+                if z not in orbit:
+                    orbit.add(z)
+                    found.append(z)
+        frontier = found
+    return orbit
+
+
+def _on_points(perm, points, degree):
+    """perm of {1..len(points)} carried onto the 1-based points, rest fixed."""
+    images = list(range(degree))
+    for i, j in enumerate(perm.images):
+        images[points[i] - 1] = points[j] - 1
+    return Permutation(images)
+
+
+def test_conjugacy_orbit_closed_forms_against_bfs_on_embedded_groups():
+    # Alt(U) and Sym(U) for U = {2..7} inside degree 8: confined pairs are
+    # answered in closed form (visited 0) and agree with a BFS orbit
+    points = list(range(2, 8))
+    rng = random.Random(61)
+
+    def on_u(*cycles):
+        return build_bsgs([_on_points(Permutation.cycle(c, 6), points, 8) for c in cycles])
+
+    alt = on_u([1, 2, 3], [2, 3, 4, 5, 6])
+    sym = on_u([1, 2], [1, 2, 3, 4, 5, 6])
+    assert alt.order == 360 and sym.order == 720
+    for group in (alt, sym):
+        gens = [g.images for g in group.generators]
+        orbits = {}
+        parities = set()
+        yes = 0
+        for _ in range(400):
+            x = _on_points(Permutation(rng.sample(range(6), 6)), points, 8)
+            if rng.random() < 0.5:
+                target = _on_points(Permutation(rng.sample(range(6), 6)), points, 8)
+            else:
+                # a conjugate of x by any permutation of U: same cycle type
+                g = _on_points(Permutation(rng.sample(range(6), 6)), points, 8)
+                target = conjugate(g, x)
+            if x.images not in orbits:
+                orbits[x.images] = _bfs_orbit(gens, x.images)
+            expected = target.images in orbits[x.images]
+            probe = conjugacy_orbit_contains(group, x, target)
+            assert (probe.answer, probe.visited) == ("yes" if expected else "no", 0)
+            parities.add((x.parity(), target.parity()))
+            yes += expected
+        assert parities == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert 0 < yes < 400
+        # an input moving a point outside U falls back to the orbit search
+        x = Permutation.cycle([1, 2, 3], 8)
+        probe = conjugacy_orbit_contains(group, x, x)
+        assert probe.answer == "yes" and probe.visited == 1
 
 
 def test_class_fusion_matches_split_rule():
@@ -272,5 +346,5 @@ def test_class_fusion_matches_split_rule():
     seven = Permutation.cycle(list(range(1, 8)), 7)
     assert len(conjugacy_class_list(s7, seven)) == 720
     assert len(conjugacy_class_list(a7, seven)) == 360
-    mixed = Permutation.from_cycles("(1 2 3)(4 5)", 7)
+    mixed = parse_cycles("(1 2 3)(4 5)", 7)
     assert len(conjugacy_class_list(s7, mixed)) == 420

@@ -11,7 +11,7 @@ from rackforge.homology import (
     second_homology,
     smith_normal_form,
 )
-from rackforge.perm import Permutation
+from rackforge.perm import Permutation, parse_cycles
 from rackforge.rack import FiniteRack, class_rack, conjugation_rack, subrack_closure
 
 
@@ -53,7 +53,7 @@ def trivial_rack(n):
 def test_integer_matrix_multiply():
     a = IntegerMatrix.from_dense([[1, 2], [3, 4]])
     b = IntegerMatrix.from_dense([[0, 1], [1, 0]])
-    assert a.multiply(b).to_dense() == [[2, 1], [4, 3]]
+    assert a.multiply(b).entries == {(0, 0): 2, (0, 1): 1, (1, 0): 4, (1, 1): 3}
     assert not a.is_zero()
     assert IntegerMatrix.from_dense([[0, 0]]).is_zero()
 
@@ -163,7 +163,7 @@ def conjugation_closure(perms):
 
 def three_cycles_of_a4():
     return [
-        Permutation.from_cycles("(%d %d %d)" % (a, b, c), 4)
+        parse_cycles("(%d %d %d)" % (a, b, c), 4)
         for a, b, c in ((1, 2, 3), (1, 3, 2), (1, 2, 4), (1, 4, 2),
                         (1, 3, 4), (1, 4, 3), (2, 3, 4), (2, 4, 3))
     ]

@@ -182,8 +182,29 @@ def test_json_roundtrip():
         assert Permutation.from_json_dict(g.to_json_dict()) == g
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"degree": 3, "images": [True, 3, 2]},
+        {"degree": True, "images": [1]},
+        {"degree": 3.0, "images": [1, 2, 3]},
+        {"degree": 3, "images": [1.0, 2.0, 3.0]},
+        {"degree": 3, "images": "123"},
+        {"degree": 2, "images": {"1": 2, "2": 1}},
+        {"images": [1, 2]},
+        {"degree": 2},
+        [{"degree": 1, "images": [1]}],
+        "(1 2)",
+        None,
+    ],
+)
+def test_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        Permutation.from_json_dict(data)
+
+
 def test_order_is_lcm_of_cycle_lengths():
-    g = Permutation.from_cycles("(1 2 3)(4 5)", 6)
+    g = parse_cycles("(1 2 3)(4 5)", 6)
     assert g.order() == 6
 
 

@@ -42,9 +42,9 @@ def test_rack_basics():
     r = cyclic_rack(5, 2)
     assert r.size == 5
     assert r.act(0, 1) == 3
-    assert r.act_inverse(0, 3) == 1
-    assert not r.is_quandle()
-    assert class_rack(5, 5).is_quandle()
+    assert r.act(0, 0) != 0  # not a quandle
+    q = class_rack(5, 5)
+    assert all(q.act(x, x) == x for x in range(q.size))
 
 
 def test_json_roundtrip_is_exact():
@@ -124,9 +124,9 @@ def test_subrack_closure_is_closed_and_minimal():
         closed = subrack_closure(r, seeds)
         assert set(seeds) <= closed
         for x in closed:
-            for y in closed:
-                assert r.act(x, y) in closed
-                assert r.act_inverse(x, y) in closed
+            # each translation maps the closure onto itself, so the inverse
+            # translations stay inside too
+            assert {r.act(x, y) for y in closed} == closed
 
 
 def test_subrack_closure_rejects_bad_seed():
@@ -161,7 +161,6 @@ def test_type_d_pair_axiom_one_failures():
     sigma = Permutation.cycle([1, 2, 3, 4, 5], 5)
     result = type_d_pair(sigma, sigma)
     assert result.verdict == "Ax1Fail"
-    assert result.decision is False
     # commuting pair at degree 10: disjoint supports
     a = Permutation.cycle([1, 2, 3, 4, 5], 10)
     b = Permutation.cycle([6, 7, 8, 9, 10], 10)
@@ -175,7 +174,6 @@ def test_type_d_pair_axiom_two_failure():
     result = type_d_pair(sigma, tau)
     assert result.verdict == "Ax2Fail"
     assert result.subgroup_order == 60
-    assert result.decision is False
 
 
 def test_type_d_pair_witness():
