@@ -28,7 +28,7 @@ from .constructions import (
     seeded_conjugates,
 )
 from .groups import (
-    _aligning_conjugator,
+    _aligning_conjugators,
     alternating_conjugate,
     build_bsgs,
     conjugacy_class_list,
@@ -311,7 +311,7 @@ def _subgroup_partners(p, m, seed):
     for group in _candidate_subgroups(p, m, seed):
         reps = order_p_class_reps(group, p, seed=seed)
         for i, first in enumerate(reps):
-            g = _aligning_conjugator(first, nat)
+            g = next(_aligning_conjugators(first, nat), None)
             if g is None or conjugate(g, first) != nat:
                 raise AssertionError("alignment failed to produce the standard cycle")
             for j, second in enumerate(reps):

@@ -124,9 +124,13 @@ def _cache_entries(path):
         return None
 
 
-def _cache_load(path, key, p, m):
-    """The cached outcome for key, or None. Only witnesses are served, and
-    each is re-checked for (p, m) from scratch as a fresh search would be."""
+def _cache_load(path, key, args):
+    """The cached outcome for key, or None. Only witnesses are served. An
+    entry is served only when it was stored for this very request (p, m,
+    strategy, seed and budget), its pair counts are consistent (counts are
+    non-negative ints and fewer pairs were indeterminate than tested), its
+    orbit answer is "no", and its witness re-checks for (p, m) from scratch
+    as a fresh search would."""
     if not path:
         return None
     entries = _cache_entries(path)
@@ -139,7 +143,16 @@ def _cache_load(path, key, p, m):
     try:
         if entry["status"] != "witness":
             raise ValueError("only witnesses are cached")
-        _reverify(TypeDWitness.from_json_dict(entry["witness"]), p, m)
+        request = (args.p, args.m, args.strategy, args.seed, args.budget)
+        stored = tuple(entry[name] for name in ("p", "m", "strategy", "seed", "budget"))
+        if [(type(v), v) for v in stored] != [(type(v), v) for v in request]:
+            raise ValueError("entry was stored for another request")
+        counts = (entry["pairs_tested"], entry["indeterminate"])
+        if any(type(c) is not int or c < 0 for c in counts) or counts[1] >= counts[0]:
+            raise ValueError("pair counts out of range")
+        if entry["witness"]["orbit_answer"] != "no":
+            raise ValueError("a witness needs a completed orbit search")
+        _reverify(TypeDWitness.from_json_dict(entry["witness"]), args.p, args.m)
     except _CACHE_ERRORS:
         _log("cache entry for %s failed re-verification, searching again" % key)
         return None
@@ -169,7 +182,7 @@ def _cmd_witness(args):
         "deep": args.deep,
     }
     key = _cache_key(args)
-    result = _cache_load(args.cache, key, args.p, args.m)
+    result = _cache_load(args.cache, key, args)
     if result is None:
         outcome = witness_search(
             args.p,

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from math import factorial, gcd
 
 from .gf import make_field, primitive_element
-from .groups import alternating_group, build_bsgs, conjugacy_class_list, conjugacy_orbit_contains
+from .groups import alternating_group, build_bsgs, conjugacy_orbit_contains
 from .numth import is_prime, prime_power_decompose
 from .perm import Permutation, conjugate
 
@@ -137,9 +137,10 @@ def order_p_class_reps(G, p, seed=0):
     elements up to their p-part. x^l ~ x^t exactly when x^(t/l) ~ x, so
     H = {e : x^e ~ x} is a subgroup of (Z/p)^* whose cosets are the classes
     of the powers, and the reps are x^l for the least l of each coset, in
-    increasing order. Deciding H takes one walk of the class of x, of
-    |G|/|C_G(x)| elements, or, when G is the full alternating or symmetric
-    group on the points it moves, p - 1 closed-form conjugacy tests.
+    increasing order. Deciding H takes p - 1 conjugacy tests x ~ x^e: in
+    closed form when G is the full alternating or symmetric group on the
+    points it moves, else by sifting the |C(x)| conjugators of x onto x^e
+    when |C(x)|^2 <= |G|, else by an orbit search.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -161,11 +162,10 @@ def order_p_class_reps(G, p, seed=0):
         raise ValueError("no order-%d element found in %d samples" % (p, attempts))
 
     powers = [None] + [x**e for e in range(1, p)]
-    if G.is_natural_alternating() or G.is_natural_symmetric():
-        h = [e for e in range(1, p) if conjugacy_orbit_contains(G, x, powers[e]).answer == "yes"]
-    else:
-        walk = {y.images for y in conjugacy_class_list(G, x)}
-        h = [e for e in range(1, p) if powers[e].images in walk]
+    answers = [conjugacy_orbit_contains(G, x, powers[e]).answer for e in range(1, p)]
+    if "capped" in answers:
+        raise ValueError("class of the order-%d element exceeds the orbit search cap" % p)
+    h = [e for e, answer in enumerate(answers, 1) if answer == "yes"]
     reps = []
     covered = set()
     for l in range(1, p):

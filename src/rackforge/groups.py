@@ -2,7 +2,8 @@
 
 The engine computes a base and strong generating set with exact big-integer
 orders, sifting membership tests, uniform random sampling through the
-stabilizer-chain transversals, and a capped breadth-first conjugacy orbit
+stabilizer-chain transversals, and conjugacy tests that sift the coset of
+conjugators when it is small and otherwise run a capped breadth-first orbit
 search. Base points are chosen deterministically (smallest moved point
 first), so identical generator lists always produce identical chains.
 
@@ -13,7 +14,9 @@ the only module that combines image tuples.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, permutations, product
 from math import factorial
 
 from .perm import Permutation, _compose, _conj, _inverse
@@ -252,7 +255,10 @@ def build_bsgs(generators, degree=None):
 
 @dataclass(frozen=True)
 class OrbitProbe:
-    """Outcome of a capped conjugacy orbit search."""
+    """Outcome of a capped conjugacy orbit search. visited is the number of
+    conjugates the breadth-first search enumerated; 0 means the answer was
+    decided without enumerating the orbit (a closed form or a sift of the
+    centralizer coset)."""
 
     answer: str  # 'yes' | 'no' | 'capped'
     visited: int
@@ -284,9 +290,17 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
     When the group is the full alternating or symmetric group on the points
     U it moves and both inputs fix every point outside U, the answer comes
     in closed form with visited = 0: in Alt(U) from alternating_conjugate on
-    the pair restricted to U, in Sym(U) from equal cycle types. Otherwise a
-    breadth-first search of {g x g^-1} by generator conjugation with a
-    visited-set cap.
+    the pair restricted to U, in Sym(U) from equal cycle types.
+
+    Otherwise, when the centralizer C of x in Sym(n) has |C|^2 <= |H| and
+    |C| <= cap, the answer is decided without enumerating the orbit, again
+    with visited = 0: the g with g x g^-1 = target form one coset g0 C, so
+    target is an H-conjugate of x exactly when one of its |C| elements sifts
+    into H. The orbit has |H|/|C_H(x)| >= |H|/|C| >= |C| elements, so this
+    never tests more candidates than a full search visits.
+
+    Every other case is a breadth-first search of {g x g^-1} by generator
+    conjugation with a visited-set cap.
     """
     n = group.degree
     if x.degree != n or target.degree != n:
@@ -302,7 +316,11 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
         same = alternating_conjugate(x.restricted_to(moved), target.restricted_to(moved))
         return OrbitProbe("yes" if same else "no", 0)
     if confined and group.is_natural_symmetric():
-        same = _aligning_conjugator(x, target) is not None
+        same = next(_aligning_conjugators(x, target), None) is not None
+        return OrbitProbe("yes" if same else "no", 0)
+    coset = _centralizer_order(x)
+    if coset <= cap and coset * coset <= group.order:
+        same = any(group.contains(g) for g in _aligning_conjugators(x, target))
         return OrbitProbe("yes" if same else "no", 0)
     goal = target.images
     visited = 0
@@ -342,7 +360,7 @@ def alternating_conjugate(sigma, tau, m=None):
         m = sigma.degree
     if sigma.degree != m or tau.degree != m:
         raise ValueError("degree mismatch")
-    g = _aligning_conjugator(sigma, tau)
+    g = next(_aligning_conjugators(sigma, tau), None)
     if g is None:
         return False
     if g.parity() == 1:
@@ -352,20 +370,51 @@ def alternating_conjugate(sigma, tau, m=None):
     return not splits
 
 
-def _aligning_conjugator(sigma, tau):
-    """The permutation g with g sigma g^-1 = tau that matches the cycles of
-    the two, sorted by (length, cycle), point by point; None when the cycle
-    types differ. Its parity is not fixed: alternating_conjugate reads it
-    to tell the two halves of a split class apart."""
+def _centralizer_order(x):
+    """|C(x)| in Sym(n): the product over cycle lengths k of k^m_k * m_k!,
+    where m_k cycles have length k and fixed points count as 1-cycles."""
+    order = 1
+    for k, m_k in Counter(len(c) for c in x.cycles(include_fixed=True)).items():
+        order *= k**m_k * factorial(m_k)
+    return order
+
+
+def _aligning_conjugators(sigma, tau):
+    """Every g with g sigma g^-1 = tau, each once: the coset g0 C(sigma),
+    |C(sigma)| elements, and nothing when the cycle types differ.
+
+    The cycles of the two, sorted by (length, cycle), are matched point by
+    point between equal-length cycles, in every pairing and with every
+    rotation. The first element pairs the sorted lists in order without
+    rotation; its parity is not fixed, and alternating_conjugate reads it
+    to tell the two halves of a split class apart.
+    """
     c_sigma = sorted(sigma.cycles(include_fixed=True), key=lambda c: (len(c), c))
     c_tau = sorted(tau.cycles(include_fixed=True), key=lambda c: (len(c), c))
     if [len(c) for c in c_sigma] != [len(c) for c in c_tau]:
-        return None
+        return
+    blocks = []  # (sigma's cycles, tau's cycles) of one length
+    start = 0
+    for _, run in groupby(c_sigma, key=len):
+        end = start + len(list(run))
+        blocks.append((c_sigma[start:end], c_tau[start:end]))
+        start = end
     images = [0] * sigma.degree
-    for cs, ct in zip(c_sigma, c_tau):
-        for a, b in zip(cs, ct):
-            images[a - 1] = b - 1
-    return Permutation._of(tuple(images))
+
+    def fill(level):
+        if level == len(blocks):
+            yield Permutation._of(tuple(images))
+            return
+        sources, targets = blocks[level]
+        k = len(sources[0])
+        for pairing in permutations(targets):
+            for shifts in product(range(k), repeat=len(sources)):
+                for cs, ct, r in zip(sources, pairing, shifts):
+                    for a, b in zip(cs, ct[r:] + ct[:r]):
+                        images[a - 1] = b - 1
+                yield from fill(level + 1)
+
+    yield from fill(0)
 
 
 def alternating_group(m):

@@ -303,10 +303,12 @@ def type_d_pair(sigma, tau, cap=10_000_000):
     to t inside the subgroup generated by the two.
 
     The square condition is checked first since it is cheap. The conjugacy
-    question is decided through the generated subgroup's structure when it
-    is a full alternating or symmetric group on its moved points, and by a
-    capped orbit search otherwise; a capped search yields Indeterminate,
-    never a guess.
+    question is decided by conjugacy_orbit_contains without enumerating the
+    orbit when the generated subgroup is a full alternating or symmetric
+    group on its moved points, or, when sigma's centralizer C in Sym(n) has
+    |C|^2 <= |H| and |C| <= cap, by sifting the |C| conjugators of sigma
+    onto tau into H; otherwise by a capped orbit search. A capped search
+    yields Indeterminate, never a guess.
     """
     if sigma.degree != tau.degree:
         raise ValueError("degree mismatch")

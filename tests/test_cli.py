@@ -160,6 +160,58 @@ def test_witness_cache_recovers_from_a_truncated_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cache]
 
 
+SEARCH_7 = ("witness", "--p", "7", "--m", "8", "--json")
+KEY_7 = "p=7,m=8,strategy=subgroup,seed=0"
+
+
+def _tampered(entry, path, value):
+    entry = json.loads(json.dumps(entry))
+    *outer, last = path
+    target = entry
+    for name in outer:
+        target = target[name]
+    target[last] = value
+    return entry
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # the recorded repro: a negative count and a conjugate pair served
+        [(("pairs_tested",), -5), (("witness", "orbit_answer"), "yes")],
+        [(("p",), 13)],
+        [(("m",), 7)],
+        [(("strategy",), "random")],
+        [(("seed",), 1)],
+        [(("seed",), False)],
+        [(("budget",), 5)],
+        [(("pairs_tested",), True)],
+        [(("pairs_tested",), 3.0)],
+        [(("indeterminate",), -1)],
+        [(("indeterminate",), "0")],
+        [(("pairs_tested",), 1), (("indeterminate",), 1)],
+        [(("witness", "orbit_answer"), "capped")],
+    ],
+)
+def test_witness_cache_rejects_an_entry_that_does_not_fit_the_request(tmp_path, capsys, changes):
+    cache = tmp_path / "witness.json"
+    _, fresh, _ = run_json(capsys, *SEARCH_7)
+    assert fresh["result"]["status"] == "witness"
+    entry = fresh["result"]
+    for path, value in changes:
+        entry = _tampered(entry, path, value)
+    write_cache(cache, KEY_7, entry)
+    code, cached, err = run_json(capsys, *SEARCH_7, "--cache", str(cache))
+    assert code == 0
+    assert "failed re-verification, searching again" in err
+    assert "cache hit" not in err
+    assert cached["result"] == fresh["result"]
+    code, out, err = run_cli(capsys, "witness", "--p", "7", "--m", "8", "--cache", str(cache))
+    assert "cache hit" in err
+    assert "pairs tested %d, indeterminate 0" % fresh["result"]["pairs_tested"] in out
+    assert "conjugacy search: no" in out
+
+
 def test_census_json(capsys):
     code, report, _ = run_json(capsys, "census", "--p", "5", "--m", "5", "--json")
     assert code == 0

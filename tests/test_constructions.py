@@ -255,6 +255,28 @@ def test_order_p_class_reps_uses_the_closed_form_on_natural_groups(monkeypatch):
     assert len(order_p_class_reps(symmetric_group(13), 13)) == 1
 
 
+def test_order_p_class_reps_sift_the_coset_on_the_search_groups(monkeypatch):
+    # every group the subgroup strategy searches, and L_3(3) and L_2(16)
+    # at degree p, decides each x ~ x^e without walking a class: the group
+    # is proper on its points, so it is the coset sift that answers
+    from rackforge.classify import _candidate_subgroups
+
+    groups_by_p = [(psl_permutation_group(3, 3), 13), (psl_permutation_group(2, 16), 17)]
+    for p in (7, 13, 17):
+        for m in (p, p + 1):
+            groups_by_p += [(group, p) for group in _candidate_subgroups(p, m, seed=0)]
+    assert len(groups_by_p) == 9
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("class enumerated on a search group")
+
+    monkeypatch.setattr(groups, "_conjugates", no_walk)
+    for group, p in groups_by_p:
+        assert not group.is_natural_alternating() and not group.is_natural_symmetric()
+        reps = order_p_class_reps(group, p, seed=5)
+        assert len(reps) > 1 and (p - 1) % len(reps) == 0
+
+
 def test_natural_class_sizes():
     assert natural_class(5, 5).class_size == 12
     assert natural_class(5, 6).class_size == 72

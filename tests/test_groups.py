@@ -1,11 +1,14 @@
 import functools
 import math
 import random
+from collections import Counter
 from itertools import permutations as all_perms
 
 import pytest
 
+from rackforge.constructions import affine_frobenius_group, order_p_class_reps, psl_permutation_group
 from rackforge.groups import (
+    _aligning_conjugators,
     alternating_conjugate,
     alternating_group,
     build_bsgs,
@@ -348,3 +351,97 @@ def test_class_fusion_matches_split_rule():
     assert len(conjugacy_class_list(a7, seven)) == 360
     mixed = parse_cycles("(1 2 3)(4 5)", 7)
     assert len(conjugacy_class_list(s7, mixed)) == 420
+
+
+def _sym_centralizer_order(x):
+    """|C(x)| in Sym(n) from the cycle type, fixed points as 1-cycles."""
+    counts = Counter(len(c) for c in x.cycles(include_fixed=True))
+    return math.prod(k**m * math.factorial(m) for k, m in counts.items())
+
+
+def test_aligning_conjugators_are_the_whole_coset_against_brute_force():
+    # seeded sigma of degree <= 7, many with repeated cycle lengths and
+    # fixed points; every g of Sym(n) with g sigma g^-1 = tau, by brute
+    # force, is yielded exactly once
+    rng = random.Random(71)
+    shapes = set()
+    for n in (1, 2, 4, 5, 6, 7):
+        perms = [Permutation(images) for images in all_perms(range(n))]
+        for _ in range(6):
+            sigma = rng.choice(perms)
+            tau = conjugate(rng.choice(perms), sigma)
+            found = list(_aligning_conjugators(sigma, tau))
+            assert len(found) == len(set(found)) == _sym_centralizer_order(sigma)
+            assert set(found) == {g for g in perms if conjugate(g, sigma) == tau}
+            lengths = sorted(len(c) for c in sigma.cycles(include_fixed=True))
+            shapes.add((len(set(lengths)) < len(lengths), 1 in lengths))
+    assert shapes == {(False, True), (True, False), (True, True), (False, False)}
+    # every length repeated, fixed points included: 2^2 2! 3^2 2! 1^2 2!
+    sigma = parse_cycles("(1 2)(3 4)(5 6 7)(8 9 10)", 12)
+    tau = parse_cycles("(2 11)(4 9)(1 5 8)(3 6 12)", 12)
+    found = list(_aligning_conjugators(sigma, tau))
+    assert len(set(found)) == len(found) == 2**2 * 2 * 3**2 * 2 * 2
+    assert all(conjugate(g, sigma) == tau for g in found)
+
+
+def test_aligning_conjugators_yield_nothing_across_cycle_types():
+    rng = random.Random(72)
+    perms = [Permutation(images) for images in all_perms(range(6))]
+    for _ in range(200):
+        sigma, tau = rng.choice(perms), rng.choice(perms)
+        types = [sorted(len(c) for c in x.cycles(include_fixed=True)) for x in (sigma, tau)]
+        if types[0] != types[1]:
+            assert list(_aligning_conjugators(sigma, tau)) == []
+    assert list(_aligning_conjugators(Permutation.identity(5), Permutation.cycle([1, 2], 5))) == []
+
+
+def test_aligning_conjugators_first_element_is_pinned():
+    # the first element matches the sorted cycles in order, unrotated; it
+    # is the one alternating_conjugate and the subgroup strategy read
+    cases = [
+        ("(1 2 3)(4 5 6)(7 8)", "(2 7 4)(1 8 3)(5 6)", 9, (0, 7, 2, 1, 6, 3, 4, 5, 8)),
+        ("(1 5)(2 6)(3 7 4)", "(3 4)(1 7)(2 5 6)", 8, (0, 2, 1, 5, 6, 3, 4, 7)),
+        ("(1 2 3 4 5 6 7)", "(1 3 5 7 2 4 6)", 8, (0, 2, 4, 6, 1, 3, 5, 7)),
+        ("(1 2)(3 4)", "(5 6)(2 3)", 7, (1, 2, 4, 5, 0, 3, 6)),
+    ]
+    for a, b, n, images in cases:
+        sigma, tau = parse_cycles(a, n), parse_cycles(b, n)
+        first = next(_aligning_conjugators(sigma, tau))
+        assert first.images == images
+        assert conjugate(first, sigma) == tau
+    # lazily: the first of 300! * 7 conjugators comes at once
+    big = Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 307)
+    assert next(_aligning_conjugators(big, big)) == Permutation.identity(307)
+
+
+def test_coset_route_matches_the_bfs_orbit_oracle():
+    # x from every order-p class and random elements; targets inside and
+    # outside the orbit. The coset route answers (visited 0) exactly when
+    # |C|^2 <= |H| and |C| <= cap, and agrees with the BFS oracle always
+    rng = random.Random(73)
+    routes = Counter()
+    for group, p in (
+        (psl_permutation_group(3, 3), 13),
+        (psl_permutation_group(2, 16), 17),
+        (affine_frobenius_group(3), 7),
+    ):
+        gens = [g.images for g in group.generators]
+        xs = order_p_class_reps(group, p) + [group.sample(rng) for _ in range(6)]
+        for x in xs:
+            orbit = _bfs_orbit(gens, x.images)
+            c = _sym_centralizer_order(x)
+            inside = [conjugate(group.sample(rng), x) for _ in range(3)]
+            outside = [y for y in (group.sample(rng) for _ in range(6)) if y.images not in orbit]
+            outside += [y for y in order_p_class_reps(group, p) if y.images not in orbit]
+            for cap in (10_000_000, c, c - 1):
+                for target in inside + outside:
+                    probe = conjugacy_orbit_contains(group, x, target, cap=cap)
+                    coset = c * c <= group.order and c <= cap
+                    if probe.answer != "capped":
+                        expected = target.images in orbit
+                        assert probe.answer == ("yes" if expected else "no")
+                        routes[coset, expected] += 1
+                    else:
+                        assert not coset
+                    assert (probe.visited == 0) == coset
+    assert set(routes) == {(True, True), (True, False), (False, True), (False, False)}
