@@ -34,7 +34,7 @@ from .constructions import (
 from .groups import (
     alternating_conjugate,
     alternating_group,
-    build_bsgs,
+    pair_subgroup,
 )
 from .homology import boundary_matrices, second_homology, smith_normal_form
 from .numth import cyclotomic_decompositions, cyclotomic_primes_below, jacobi
@@ -194,9 +194,7 @@ def _exhaustive_absence():
             return False, "(11,11) sample produced a witness: tau = %s" % tau
         if result.verdict == "Indeterminate":
             return False, "(11,11) sample hit an indeterminate verdict"
-        order = result.subgroup_order
-        if order is None:
-            order = build_bsgs([sigma, tau]).order
+        order = result.subgroup_order or pair_subgroup(sigma, tau).order
         if order not in allowed:
             return False, "(11,11) subgroup order %d outside the spectrum" % order
         spectrum[order] = spectrum.get(order, 0) + 1
@@ -282,7 +280,7 @@ def _twentyfour_element_subrack():
     rack = class_rack(7, 7)
     sigma = rack.elements[0]
     for idx, tau in enumerate(rack.elements):
-        if build_bsgs([sigma, tau]).order == 168:
+        if pair_subgroup(sigma, tau).order == 168:
             members = sorted(subrack_closure(rack, {0, idx}))
             return conjugation_rack([rack.elements[i] for i in members])
     raise AssertionError("no order-168 pair found in the 7-cycle class")

@@ -19,6 +19,7 @@ from math import factorial
 from typing import Optional
 
 from .constructions import (
+    _check_class,
     affine_frobenius_group,
     class_elements,
     natural_class,
@@ -29,13 +30,15 @@ from .constructions import (
 )
 from .groups import (
     _aligning_conjugators,
+    _conjugates,
     alternating_conjugate,
     build_bsgs,
     conjugacy_class_list,
     conjugacy_orbit_contains,
+    pair_subgroup,
 )
 from .numth import cyclotomic_decompositions, is_prime, prime_power_decompose
-from .perm import Permutation, conjugate
+from .perm import Permutation, _conj, conjugate
 from .rack import TypeDWitness, type_d_pair
 
 __all__ = [
@@ -85,10 +88,7 @@ def classify_class(p, m):
     to p >= 7 with the same cyclotomic condition. The reason dict carries
     the decomposition list and, when it blocks, the threshold rule.
     """
-    if not is_prime(p) or p < 5:
-        raise ValueError("p must be prime >= 5")
-    if m not in (p, p + 1):
-        raise ValueError("m must be p or p+1")
+    _check_class(p, m)
     decomposition = [[r, k] for (r, k) in cyclotomic_decompositions(p)]
     threshold = 13 if m == p else 7
     if p >= threshold and decomposition:
@@ -190,23 +190,23 @@ def _p_cycle_prime(perm):
     return lengths[0]
 
 
-def fw_identify(sigma, tau, subgroup=None):
+def fw_identify(sigma, tau):
     """Match the subgroup generated by two p-cycles against the case table.
 
-    m is the size of the union of the two supports; the order comes from a
-    stabilizer chain (or a caller-provided group to avoid recomputation).
-    A pair whose (m, order) matches no row raises, since the table is
-    exhaustive for pairs of p-cycles.
+    m is the size of the union of the two supports; the order comes from
+    the pair's stabilizer chain. A pair whose (m, order) matches no row
+    raises, since the table is exhaustive for pairs of p-cycles.
     """
     p = _p_cycle_prime(sigma)
     if _p_cycle_prime(tau) != p:
         raise ValueError("the two cycles must have one common prime length")
-    if sigma.degree != tau.degree:
-        raise ValueError("degree mismatch")
-    m = len(set(sigma.support()) | set(tau.support()))
-    if subgroup is None:
-        subgroup = build_bsgs([sigma, tau])
-    order = subgroup.order
+    return _case_of(p, pair_subgroup(sigma, tau))
+
+
+def _case_of(p, group):
+    """Case row of the group two p-cycles generate; m counts the points it moves."""
+    m = len(group.moved_points())
+    order = group.order
     return _resolve_case(p, m, order, _case_candidates(p, m, order))
 
 
@@ -317,16 +317,14 @@ def _subgroup_partners(p, m, seed):
             for j, second in enumerate(reps):
                 if i == j or not alternating_conjugate(first, second, m):
                     continue
-                for tau in conjugacy_class_list(group, second):
-                    yield conjugate(g, tau)
+                for z in _conjugates(group, second.images):
+                    yield Permutation._of(_conj(g.images, z))
 
 
 def _candidate_subgroups(p, m, seed):
     """Groups searched by the subgroup strategy, all at degree m."""
     for r, k in cyclotomic_decompositions(p):
         group = psl_permutation_group(k, r)
-        if group.degree != p:
-            continue
         gens = [g.extend(m) for g in group.generators]
         yield build_bsgs(gens, degree=m)
     if m == p + 1:
@@ -353,9 +351,7 @@ def symmetric_group_witness(p):
     sigma the standard cycle, tau its conjugate by the transposition of 1
     and 3. The two lie in different alternating halves, so no even
     subgroup can conjugate one to the other; verification is loud."""
-    if not is_prime(p) or p < 5:
-        raise ValueError("p must be prime >= 5")
-    sigma = Permutation.cycle(list(range(1, p + 1)), p)
+    sigma = natural_class(p, p).sigma
     swap = Permutation.cycle([1, 3], p)
     tau = conjugate(swap, sigma)
     if alternating_conjugate(sigma, tau, p):
@@ -402,7 +398,7 @@ class CensusReport:
         }
 
 
-def _closure_size(sigma, tau, subgroup):
+def _closure_size(p, sigma, tau, subgroup):
     """|sigma^H union tau^H| for H generated by the pair: the closure of
     {sigma, tau} consists of exactly these conjugates, since every element
     of the closure is a word conjugate and every word conjugate arises."""
@@ -412,7 +408,6 @@ def _closure_size(sigma, tau, subgroup):
         # the cycle type is all odd lengths, all distinct, i.e. u - p <= 1
         # here, and then the closure is one half when the two are conjugate.
         u = len(subgroup.moved_points())
-        p = len(sigma.cycles()[0])
         total = factorial(u) // (p * factorial(u - p))
         if u - p <= 1 and conjugacy_orbit_contains(subgroup, sigma, tau).answer == "yes":
             return total // 2
@@ -446,9 +441,9 @@ def subrack_census(p, m, budget=None, seed=0):
     taus, total, exhaustive = _class_or_sample(p, m, budget, seed)
     counter = {}
     for tau in taus:
-        subgroup = build_bsgs([sigma, tau])
-        case = fw_identify(sigma, tau, subgroup=subgroup)
-        size = _closure_size(sigma, tau, subgroup)
+        subgroup = pair_subgroup(sigma, tau)
+        case = _case_of(p, subgroup)
+        size = _closure_size(p, sigma, tau, subgroup)
         abelian = subgroup.order in (p, p * p)
         key = (size, case.tag, subgroup.order, abelian)
         counter[key] = counter.get(key, 0) + 1
@@ -518,7 +513,7 @@ def lemma_square_check(p, m, budget=None, seed=0):
             order_two += 1
         else:
             violations.append((tau, "dichotomy", st.order()))
-        order = build_bsgs([sigma, tau]).order
+        order = pair_subgroup(sigma, tau).order
         if order > p * p:
             violations.append((tau, "order bound", order))
     return SquareCheckReport(

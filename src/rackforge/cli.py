@@ -29,7 +29,7 @@ from .constructions import (
     natural_class,
     psl_permutation_group,
 )
-from .homology import second_homology
+from .homology import second_homology, size_guard
 from .numth import cyclotomic_decompositions, cyclotomic_primes_below
 from .perm import format_cycles, parse_cycles
 from .rack import (
@@ -105,7 +105,8 @@ def _cmd_classify(args):
 
 
 def _cache_key(args):
-    return "p=%d,m=%d,strategy=%s,seed=%d" % (args.p, args.m, args.strategy, args.seed)
+    key = "p=%d,m=%d,strategy=%s,seed=%d" % (args.p, args.m, args.strategy, args.seed)
+    return key if args.budget is None else key + ",budget=%d" % args.budget
 
 
 # what a malformed cache file or entry can raise on load
@@ -137,7 +138,8 @@ def _cache_load(path, key, args):
     if entries is None:
         _log("cache file %s is corrupt, searching again" % path)
         return None
-    entry = entries.get(key)
+    # files written before the key carried a budget hold budgeted entries under the short key
+    entry = entries.get(key, entries.get(key.split(",budget=")[0]))
     if entry is None:
         return None
     try:
@@ -268,6 +270,7 @@ def _cmd_cohomology(args):
     else:
         if args.p is None or args.m is None:
             raise ValueError("give either --rack FILE or both --p and --m")
+        size_guard(natural_class(args.p, args.m).class_size)
         rack = class_rack(args.p, args.m)
         config = {"p": args.p, "m": args.m}
     h2 = second_homology(rack)

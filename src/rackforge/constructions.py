@@ -208,11 +208,16 @@ class NaturalClass:
     class_size: int
 
 
-def natural_class(p, m):
+def _check_class(p, m):
+    """Raise ValueError unless p is a prime >= 5 and m is p or p+1; builds nothing."""
     if not is_prime(p) or p < 5:
         raise ValueError("p must be a prime >= 5")
     if m not in (p, p + 1):
         raise ValueError("m must be p or p+1")
+
+
+def natural_class(p, m):
+    _check_class(p, m)
     sigma = Permutation.cycle(list(range(1, p + 1)), m)
     size = factorial(m) // (2 * p * factorial(m - p))
     return NaturalClass(p=p, m=m, sigma=sigma, class_size=size)
@@ -227,7 +232,7 @@ def class_elements(p, m):
     (1 2 ... p), decided by the parity of an aligning conjugator. The class
     of p-cycles always splits since the type is all-odd-all-distinct.
     """
-    natural_class(p, m)  # validates the (p, m) combination
+    _check_class(p, m)
     for support in combinations(range(1, m + 1), p):
         for rest in permutations(support[1:]):
             cycle_points = (support[0],) + rest

@@ -25,6 +25,7 @@ __all__ = [
     "PermGroup",
     "OrbitProbe",
     "build_bsgs",
+    "pair_subgroup",
     "conjugacy_orbit_contains",
     "conjugacy_class_list",
     "alternating_conjugate",
@@ -251,6 +252,12 @@ def build_bsgs(generators, degree=None):
         raise ValueError("generators must share one degree")
     levels = _Builder(degree, [g.images for g in generators]).run()
     return PermGroup(degree, generators, levels, tuple(range(degree)))
+
+
+def pair_subgroup(sigma, tau):
+    """The group <sigma, tau> with its stabilizer chain: the one place a
+    pair's chain is built. A degree mismatch raises ValueError."""
+    return build_bsgs([sigma, tau])
 
 
 @dataclass(frozen=True)

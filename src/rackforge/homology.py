@@ -85,6 +85,12 @@ class IntegerMatrix:
         return not self.entries
 
 
+def size_guard(n):
+    """Raise ValueError when an n-element rack is too large for d3."""
+    if n**3 > SIZE_GUARD:
+        raise ValueError("rack of size %d exceeds the n^3 <= %d guard" % (n, SIZE_GUARD))
+
+
 def boundary_matrices(rack):
     """The pair (d2, d3) for the rack, with d2 . d3 = 0 checked exactly.
 
@@ -92,8 +98,7 @@ def boundary_matrices(rack):
     (x, y, z) index columns of d3 as x*n^2 + y*n + z.
     """
     n = rack.size
-    if n**3 > SIZE_GUARD:
-        raise ValueError("rack of size %d exceeds the n^3 <= %d guard" % (n, SIZE_GUARD))
+    size_guard(n)
     table = rack.table
 
     d2 = {}

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import class_elements, natural_class
-from .groups import build_bsgs, conjugacy_orbit_contains
+from .constructions import class_elements
+from .groups import conjugacy_orbit_contains, pair_subgroup
 from .perm import Permutation, _compose, _conj, format_cycles
 
 __all__ = [
@@ -170,7 +170,6 @@ def conjugation_rack(perms):
 def class_rack(p, m):
     """Conjugation rack on the whole alternating class of the standard
     p-cycle at degree m, size m!/(2 p (m-p)!)."""
-    natural_class(p, m)
     return conjugation_rack(list(class_elements(p, m)))
 
 
@@ -310,15 +309,13 @@ def type_d_pair(sigma, tau, cap=10_000_000):
     onto tau into H; otherwise by a capped orbit search. A capped search
     yields Indeterminate, never a guess.
     """
-    if sigma.degree != tau.degree:
-        raise ValueError("degree mismatch")
     st = sigma * tau
     ts = tau * sigma
     st2 = st * st
     ts2 = ts * ts
     if st2 == ts2:
         return TypeDResult("Ax1Fail", "squares of the two products agree")
-    subgroup = build_bsgs([sigma, tau])
+    subgroup = pair_subgroup(sigma, tau)
     probe = conjugacy_orbit_contains(subgroup, sigma, tau, cap=cap)
     if probe.answer == "capped":
         return TypeDResult(

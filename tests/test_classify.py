@@ -89,6 +89,15 @@ def test_classify_rejects_bad_input():
         classify_class(5, 8)
 
 
+def test_classify_answers_at_once_for_large_cyclotomic_primes():
+    # checking (p, m) must build neither the p-cycle nor m!
+    for p, k in ((2**31 - 1, 31), (2**61 - 1, 61)):
+        for m in (p, p + 1):
+            verdict = classify_class(p, m)
+            assert verdict.verdict == "TypeD"
+            assert verdict.reason == {"cyclotomic": [[2, k]]}
+
+
 def test_classify_json_shape():
     data = classify_class(13, 13).to_json_dict()
     assert data == {
@@ -357,6 +366,25 @@ def test_witness_search_exhaustive_stops_at_the_first_witness(monkeypatch):
     assert out.pairs_tested == len(calls) == 435
     assert calls[-1] == out.witness.tau
     assert format_cycles(out.witness.tau) == "(1 3 4 2 8 6 5)"
+
+
+def test_subgroup_partners_walk_the_class_lazily(monkeypatch):
+    # the first witness at (13,13) is the second partner; listing the whole
+    # class of L_3(3) first would conjugate once per element at least
+    from rackforge import groups
+
+    calls = []
+    original = groups._conj
+
+    def counted(g, x):
+        calls.append(x)
+        return original(g, x)
+
+    monkeypatch.setattr(groups, "_conj", counted)
+    out = witness_search(13, 13, strategy="subgroup")
+    assert out.status == "witness"
+    assert out.pairs_tested == 2
+    assert 0 < len(calls) < psl_order(3, 3) // 13
 
 
 def test_witness_search_rejects_unknown_strategy():

@@ -117,6 +117,18 @@ def test_witness_cache_roundtrip(tmp_path, capsys):
     assert strip_clock(second)["result"] == strip_clock(first)["result"]
 
 
+def test_witness_cache_keeps_one_entry_per_budget(tmp_path, capsys):
+    cache = tmp_path / "witness.json"
+    args = ("witness", "--p", "7", "--m", "8", "--cache", str(cache), "--json")
+    errs = [run_json(capsys, *args, *extra)[2] for extra in (("--budget", "50"), (), ("--budget", "50"))]
+    assert "searching again" not in "".join(errs)
+    assert "cache hit for p=7,m=8,strategy=subgroup,seed=0,budget=50" in errs[2]
+    assert sorted(json.loads(cache.read_text())["entries"]) == [
+        "p=7,m=8,strategy=subgroup,seed=0",
+        "p=7,m=8,strategy=subgroup,seed=0,budget=50",
+    ]
+
+
 SEARCH_13 = ("witness", "--p", "13", "--m", "13", "--strategy", "random", "--budget", "5", "--json")
 KEY_13 = "p=13,m=13,strategy=random,seed=0"
 
@@ -326,6 +338,18 @@ def test_cohomology_from_class_parameters(capsys):
     code, report, _ = run_json(capsys, "cohomology", "--p", "5", "--m", "5", "--json")
     assert code == 0
     assert report["result"]["pretty"] == "k^× × G_10"
+
+
+def test_cohomology_guard_runs_before_the_class_rack_is_built(monkeypatch, capsys):
+    from rackforge import cli
+
+    def refuse(p, m):
+        pytest.fail("the class rack was built before the size guard")
+
+    monkeypatch.setattr(cli, "class_rack", refuse)
+    code, _, err = run_cli(capsys, "cohomology", "--p", "7", "--m", "8")
+    assert code == 1
+    assert "rack of size 2880 exceeds the n^3 <= 100000000 guard" in err
 
 
 def test_construct_requires_flags(capsys):
