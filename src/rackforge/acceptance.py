@@ -60,12 +60,17 @@ class CriterionResult:
     details: str
 
     def line(self):
+        """One text line: status, number, name, the seconds used (against
+        the time bound when there is one) and the details."""
         status = "PASS" if self.passed else "FAIL"
-        return "%s %2d %s (%.2fs): %s" % (
+        used = "%.2fs" % self.seconds
+        if self.bound_seconds is not None:
+            used += " of %gs" % self.bound_seconds
+        return "%s %2d %s (%s): %s" % (
             status,
             self.number,
             self.name,
-            self.seconds,
+            used,
             self.details,
         )
 

@@ -113,6 +113,10 @@ def _cache_key(args):
 _CACHE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, AssertionError)
 
 
+class _OtherRequest(ValueError):
+    """A cache entry stored under this key for a different request."""
+
+
 def _cache_entries(path):
     """The entries of a cache file: {} when it is missing, None when it
     cannot be read."""
@@ -148,15 +152,18 @@ def _cache_load(path, key, args):
         request = (args.p, args.m, args.strategy, args.seed, args.budget)
         stored = tuple(entry[name] for name in ("p", "m", "strategy", "seed", "budget"))
         if [(type(v), v) for v in stored] != [(type(v), v) for v in request]:
-            raise ValueError("entry was stored for another request")
+            raise _OtherRequest()
         counts = (entry["pairs_tested"], entry["indeterminate"])
         if any(type(c) is not int or c < 0 for c in counts) or counts[1] >= counts[0]:
             raise ValueError("pair counts out of range")
         if entry["witness"]["orbit_answer"] != "no":
             raise ValueError("a witness needs a completed orbit search")
         _reverify(TypeDWitness.from_json_dict(entry["witness"]), args.p, args.m)
-    except _CACHE_ERRORS:
-        _log("cache entry for %s failed re-verification, searching again" % key)
+    except _OtherRequest:
+        _log("cache entry for %s was stored for another request, searching again" % key)
+        return None
+    except _CACHE_ERRORS as error:
+        _log("cache entry for %s failed re-verification, searching again: %r" % (key, error))
         return None
     return entry
 

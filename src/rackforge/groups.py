@@ -7,6 +7,12 @@ conjugators when it is small and otherwise run a capped breadth-first orbit
 search. Base points are chosen deterministically (smallest moved point
 first), so identical generator lists always produce identical chains.
 
+pair_subgroup recognises one family without a chain: two prime q-cycles
+whose supports meet in a union U of at least q + 3 points generate exactly
+Alt(U), by Jordan's prime-cycle theorem. That group knows its order,
+|U|!/2, and builds its chain with build_bsgs only when contains, sample or
+base first asks for it, so the chain is the one an eager build gives.
+
 Every input and result is a perm.Permutation. The chain and the orbit
 search work on `Permutation.images` with the kernel functions of perm.py,
 the only module that combines image tuples.
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from itertools import groupby, permutations, product
 from math import factorial
 
+from .numth import is_prime
 from .perm import Permutation, _compose, _conj, _inverse
 
 __all__ = [
@@ -50,18 +57,31 @@ class _Level:
 
 
 class PermGroup:
-    """Group generated by permutations of a fixed degree, with a BSGS."""
+    """Group generated by permutations of a fixed degree, with a BSGS.
 
-    def __init__(self, degree, generators, levels, identity):
+    A group made with a known order and no levels builds its chain on the
+    first use of contains, sample or base, by build_bsgs on its own
+    generators."""
+
+    def __init__(self, degree, generators, levels=None, order=None):
         self.degree = degree
         self.generators = tuple(generators)
-        self._levels = levels
-        self._identity = identity
+        self._chain = levels
+        self._order = order
+        self._identity = tuple(range(degree))
+
+    @property
+    def _levels(self):
+        if self._chain is None:
+            self._chain = build_bsgs(self.generators, self.degree)._levels
+        return self._chain
 
     # -- queries -----------------------------------------------------------
 
     @property
     def order(self):
+        if self._order is not None:
+            return self._order
         n = 1
         for level in self._levels:
             n *= len(level.orbit)
@@ -251,12 +271,38 @@ def build_bsgs(generators, degree=None):
     if any(g.degree != degree for g in generators):
         raise ValueError("generators must share one degree")
     levels = _Builder(degree, [g.images for g in generators]).run()
-    return PermGroup(degree, generators, levels, tuple(range(degree)))
+    return PermGroup(degree, generators, levels)
 
 
 def pair_subgroup(sigma, tau):
-    """The group <sigma, tau> with its stabilizer chain: the one place a
-    pair's chain is built. A degree mismatch raises ValueError."""
+    """The group <sigma, tau>: every chain of a pair starts here. A degree
+    mismatch raises ValueError.
+
+    When sigma and tau are each one cycle of the same prime length q, their
+    supports meet, and the union U of the supports has u >= q + 3 points,
+    the answer is Alt(U), of order u!/2, with no chain built until one is
+    asked for (see PermGroup). The proof:
+
+    - Meeting supports make the group transitive on U.
+    - Meeting supports also give u <= 2q - 1, so a system of blocks of size
+      at least 2 has fewer than q blocks. The q-cycle sigma permutes them in
+      orbits of size 1 or q, so it fixes every block, and its support lies
+      in one block of at least q > u/2 points: that block is U, and the
+      group is primitive.
+    - A primitive group on u points holding a cycle of prime length
+      q <= u - 3 contains Alt(U) (Jordan; Wielandt, Finite Permutation
+      Groups, Thm 13.9).
+    - q + 3 <= u <= 2q - 1 forces q >= 5, so q is odd, both generators are
+      even, and the group is exactly Alt(U).
+    """
+    if sigma.degree != tau.degree:
+        raise ValueError("generators must share one degree")
+    a, b = sigma.cycles(), tau.cycles()
+    if len(a) == len(b) == 1 and len(a[0]) == len(b[0]) and is_prime(len(a[0])):
+        q = len(a[0])
+        u = len(set(a[0]) | set(b[0]))
+        if q + 3 <= u < 2 * q:
+            return PermGroup(sigma.degree, [sigma, tau], order=factorial(u) // 2)
     return build_bsgs([sigma, tau])
 
 

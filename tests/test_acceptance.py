@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from rackforge.acceptance import CRITERIA, run_criterion
+from rackforge.acceptance import CRITERIA, CriterionResult, run_criterion
 
 
 @pytest.mark.parametrize(
@@ -30,3 +30,11 @@ def test_criterion(number):
 def test_criteria_are_numbered_consecutively():
     assert [c.number for c in CRITERIA] == list(range(1, 14))
     assert len({c.name for c in CRITERIA}) == len(CRITERIA)
+
+
+def test_the_line_shows_the_seconds_used_against_the_bound():
+    bounded = CriterionResult(5, "pair-identification-coverage", True, 2.314, 300.0, "ok")
+    assert bounded.line() == "PASS  5 pair-identification-coverage (2.31s of 300s): ok"
+    assert CriterionResult(13, "property-suites", False, 1.5, None, "x").line() == (
+        "FAIL 13 property-suites (1.50s): x"
+    )
