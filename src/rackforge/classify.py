@@ -33,7 +33,6 @@ from .groups import (
     _conjugates,
     alternating_conjugate,
     build_bsgs,
-    conjugacy_class_list,
     conjugacy_orbit_contains,
     pair_subgroup,
 )
@@ -398,24 +397,25 @@ class CensusReport:
         }
 
 
-def _closure_size(p, sigma, tau, subgroup):
+def _closure_size(sigma, tau, subgroup):
     """|sigma^H union tau^H| for H generated by the pair: the closure of
     {sigma, tau} consists of exactly these conjugates, since every element
-    of the closure is a word conjugate and every word conjugate arises."""
-    if subgroup.is_natural_alternating():
-        # H is the alternating group on its moved points U; count p-cycles
-        # in closed form. The symmetric class splits in Alt(U) exactly when
-        # the cycle type is all odd lengths, all distinct, i.e. u - p <= 1
-        # here, and then the closure is one half when the two are conjugate.
-        u = len(subgroup.moved_points())
-        total = factorial(u) // (p * factorial(u - p))
-        if u - p <= 1 and conjugacy_orbit_contains(subgroup, sigma, tau).answer == "yes":
-            return total // 2
-        return total
-    first = conjugacy_class_list(subgroup, sigma)
-    if tau in set(first):
-        return len(first)
-    return len(first) + len(conjugacy_class_list(subgroup, tau))
+    of the closure is a word conjugate and every word conjugate arises.
+
+    Classes of H are equal or disjoint, and |x^H| = |H| / |C_H(x)| by
+    orbit-stabiliser. C_H(x) is the part of x's centraliser in Sym(m), the
+    conjugators of x onto itself, that H contains; for a p-cycle that
+    centraliser has p (m - p)! elements, at most p as the census runs only
+    at m in {p, p + 1}.
+    """
+
+    def class_size(x):
+        fixers = sum(1 for g in _aligning_conjugators(x, x) if subgroup.contains(g))
+        return subgroup.order // fixers
+
+    if conjugacy_orbit_contains(subgroup, sigma, tau).answer == "yes":
+        return class_size(sigma)
+    return class_size(sigma) + class_size(tau)
 
 
 def _class_or_sample(p, m, budget, seed):
@@ -443,7 +443,7 @@ def subrack_census(p, m, budget=None, seed=0):
     for tau in taus:
         subgroup = pair_subgroup(sigma, tau)
         case = _case_of(p, subgroup)
-        size = _closure_size(p, sigma, tau, subgroup)
+        size = _closure_size(sigma, tau, subgroup)
         abelian = subgroup.order in (p, p * p)
         key = (size, case.tag, subgroup.order, abelian)
         counter[key] = counter.get(key, 0) + 1

@@ -142,8 +142,7 @@ def _cache_load(path, key, args):
     if entries is None:
         _log("cache file %s is corrupt, searching again" % path)
         return None
-    # files written before the key carried a budget hold budgeted entries under the short key
-    entry = entries.get(key, entries.get(key.split(",budget=")[0]))
+    entry = entries.get(key)
     if entry is None:
         return None
     try:
@@ -498,7 +497,7 @@ def main(argv=None):
     _validate_construct(parser, args)
     try:
         return args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
 

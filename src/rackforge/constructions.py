@@ -229,25 +229,21 @@ def class_elements(p, m):
 
     Enumerates all p-cycles (support choice times cyclic order anchored at
     the least moved point) and keeps the half lying in the class of
-    (1 2 ... p), decided by the parity of an aligning conjugator. The class
-    of p-cycles always splits since the type is all-odd-all-distinct.
+    (1 2 ... p): the class of p-cycles always splits since the type is
+    all-odd-all-distinct. A cycle is kept when its point arrangement, the
+    cycle read from its least point and then the off-support points in
+    increasing order, is even. As a 1-based image list the arrangement is a
+    g with g (1 2 ... p) g^-1 equal to the cycle, and all such conjugators
+    form the coset g C, C the centralizer of (1 2 ... p) in S_m. At
+    m <= p + 1 that p-cycle generates C, so C is even and g's sign decides.
     """
     _check_class(p, m)
     for support in combinations(range(1, m + 1), p):
-        for rest in permutations(support[1:]):
-            cycle_points = (support[0],) + rest
-            # aligning conjugator g: maps the support of sigma, in cycle order,
-            # onto cycle_points, and the off-support points onto the rest
-            images = [0] * m
-            order_sigma = list(range(1, p + 1))
-            for a, b in zip(order_sigma, cycle_points):
-                images[a - 1] = b - 1
-            fixed_sigma = list(range(p + 1, m + 1))
-            fixed_tau = [q for q in range(1, m + 1) if q not in support]
-            for a, b in zip(fixed_sigma, fixed_tau):
-                images[a - 1] = b - 1
-            if Permutation(images).parity() == 1:
-                yield Permutation.cycle(list(cycle_points), m)
+        rest = tuple(q for q in range(1, m + 1) if q not in support)
+        for tail in permutations(support[1:]):
+            points = (support[0],) + tail
+            if Permutation.from_one_based(points + rest).parity() == 1:
+                yield Permutation.cycle(list(points), m)
 
 
 def seeded_conjugates(p, m, seed=0):

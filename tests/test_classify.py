@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -7,6 +9,7 @@ from rackforge import acceptance
 from rackforge.classify import (
     DEEP_GATE,
     _case_candidates,
+    _closure_size,
     _resolve_case,
     classify_class,
     fw_identify,
@@ -15,15 +18,15 @@ from rackforge.classify import (
     symmetric_group_witness,
     witness_search,
 )
-from rackforge.constructions import natural_class, psl_order
-from rackforge.groups import build_bsgs
+from rackforge.constructions import class_elements, natural_class, psl_order
+from rackforge.groups import build_bsgs, pair_subgroup
 from rackforge.numth import (
     cyclotomic_decompositions,
     prime_power_decompose,
     primes_below,
 )
 from rackforge.perm import Permutation, conjugate, format_cycles, parse_cycles
-from rackforge.rack import type_d_pair
+from rackforge.rack import class_rack, conjugation_rack, subrack_closure, type_d_pair
 
 
 VERIFIED_TABLE = {
@@ -452,6 +455,80 @@ def test_subrack_census_sampled_eleven():
     for row in report.rows:
         assert row.closure_size in (1, 2, 60, 720, 1814400)
         assert row.subgroup_order in (11, 121, 660, 7920, 19958400)
+
+
+class _LazyClassRack:
+    """class_rack(p, m) with each table entry computed when first read:
+    subrack_closure reads only `size` and `table`. At (7,8) the full table
+    has 2880^2 entries and takes seconds to build; a closure reads few, most
+    of them twice."""
+
+    def __init__(self, p, m):
+        self.elements = list(class_elements(p, m))
+        self.size = len(self.elements)
+        self.table = self
+        self._index = {g: i for i, g in enumerate(self.elements)}
+        self._entries = {}
+
+    def __getitem__(self, x):
+        return _LazyRow(self, x)
+
+    def entry(self, x, y):
+        if (x, y) not in self._entries:
+            image = conjugate(self.elements[x], self.elements[y])
+            self._entries[x, y] = self._index[image]
+        return self._entries[x, y]
+
+
+class _LazyRow:
+    def __init__(self, rack, x):
+        self.rack = rack
+        self.x = x
+
+    def __getitem__(self, y):
+        return self.rack.entry(self.x, y)
+
+
+def _check_closure_sizes(sigma, rack, taus):
+    position = {g: i for i, g in enumerate(rack.elements)}
+    for tau in taus:
+        expected = len(subrack_closure(rack, {position[sigma], position[tau]}))
+        assert _closure_size(sigma, tau, pair_subgroup(sigma, tau)) == expected, tau
+
+
+def test_closure_sizes_match_the_rack_closure():
+    # the rack closure shares no code with the orbit-stabiliser count
+    for p, m in ((5, 5), (5, 6)):
+        rack = class_rack(p, m)
+        _check_closure_sizes(natural_class(p, m).sigma, rack, rack.elements)
+    rack = class_rack(7, 7)
+    sigma = natural_class(7, 7).sigma
+    proper = [t for t in rack.elements if pair_subgroup(sigma, t).order < 2520]
+    full = [t for t in rack.elements if t not in proper]
+    assert len(proper) == 45
+    _check_closure_sizes(sigma, rack, proper + random.Random(0).sample(full, 3))
+    # five seeded pairs for each non-cyclic proper subgroup of A_8 that a
+    # pair generates: orders 56, 168, 1344 and 2520
+    rack = _LazyClassRack(7, 8)
+    sigma = natural_class(7, 8).sigma
+    picked = {}
+    for tau in random.Random(0).sample(rack.elements, rack.size):
+        order = pair_subgroup(sigma, tau).order
+        if 7 < order < 20160 and len(picked.setdefault(order, [])) < 5:
+            picked[order].append(tau)
+            if sum(map(len, picked.values())) == 20:
+                break
+    assert sorted(picked) == [56, 168, 1344, 2520]
+    _check_closure_sizes(sigma, rack, [tau for taus in picked.values() for tau in taus])
+    # at degree 7 a 5-cycle's centraliser in Sym(7) holds odd elements, which
+    # the group of an even pair lacks: only here does the sift into H matter
+    five_cycles = [
+        Permutation.cycle((support[0],) + tail, 7)
+        for support in combinations(range(1, 8), 5)
+        for tail in permutations(support[1:])
+    ]
+    rack = conjugation_rack(five_cycles)
+    _check_closure_sizes(five_cycles[0], rack, random.Random(0).sample(five_cycles, 8))
 
 
 def test_lemma_square_check_five_holds():

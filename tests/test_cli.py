@@ -129,8 +129,16 @@ def test_witness_cache_keeps_one_entry_per_budget(tmp_path, capsys):
     ]
 
 
+def test_witness_cache_does_not_read_an_unbudgeted_entry_for_a_budgeted_request(tmp_path, capsys):
+    cache = tmp_path / "witness.json"
+    args = ("witness", "--p", "7", "--m", "8", "--cache", str(cache), "--json")
+    errs = [run_json(capsys, *args, *extra)[2] for extra in ((), ("--budget", "50"))]
+    assert "searching again" not in "".join(errs)
+    assert "cache hit" not in "".join(errs)
+
+
 SEARCH_13 = ("witness", "--p", "13", "--m", "13", "--strategy", "random", "--budget", "5", "--json")
-KEY_13 = "p=13,m=13,strategy=random,seed=0"
+KEY_13 = "p=13,m=13,strategy=random,seed=0,budget=5"
 
 
 def write_cache(path, key, entry):
@@ -336,6 +344,24 @@ def test_cohomology_rejects_malformed_rack_files(tmp_path, capsys):
         assert code == 1, data
         assert err.startswith("error: ") and "Traceback" not in err, data
         assert out == ""
+
+
+def test_cohomology_reports_an_unreadable_rack_file(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run_cli(capsys, "cohomology", "--rack", str(path))
+        assert code == 1, path
+        assert err.startswith("error: ") and "Traceback" not in err, path
+        assert out == ""
+
+
+def test_construct_reports_an_unwritable_output_file(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(
+        capsys, "construct", "class-rack", "--p", "5", "--m", "5", "--out", str(out_path)
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_cohomology_from_class_parameters(capsys):
