@@ -173,10 +173,14 @@ def _cache_store(path, key, outcome_dict):
     entries = _cache_entries(path) or {}
     entries[key] = outcome_dict
     temporary = "%s.%d.tmp" % (path, os.getpid())
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump({"schema": SCHEMA, "entries": entries}, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    os.replace(temporary, path)
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            json.dump({"schema": SCHEMA, "entries": entries}, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+        os.replace(temporary, path)
+    finally:
+        if os.path.isfile(temporary):  # the write or the rename failed
+            os.remove(temporary)
 
 
 def _cmd_witness(args):
@@ -191,7 +195,8 @@ def _cmd_witness(args):
     }
     key = _cache_key(args)
     result = _cache_load(args.cache, key, args)
-    if result is None:
+    searched = result is None
+    if searched:
         outcome = witness_search(
             args.p,
             args.m,
@@ -201,8 +206,6 @@ def _cmd_witness(args):
             deep=args.deep,
         )
         result = outcome.to_json_dict()
-        if args.cache and result["status"] == "witness":
-            _cache_store(args.cache, key, result)
     else:
         _log("cache hit for %s" % key)
     _emit(args, "witness", config, result, started)
@@ -223,6 +226,9 @@ def _cmd_witness(args):
                 "subgroup order %d; product squares differ; conjugacy search: %s"
                 % (witness.subgroup_order, witness.orbit_answer)
             )
+    # stored after the report, so a cache that cannot be written loses no result
+    if args.cache and searched and result["status"] == "witness":
+        _cache_store(args.cache, key, result)
     return EXIT_UNDECIDED if result["status"] == "exhausted" else EXIT_OK
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from math import factorial, gcd
 
 from .gf import make_field, primitive_element
@@ -223,27 +223,44 @@ def natural_class(p, m):
     return NaturalClass(p=p, m=m, sigma=sigma, class_size=size)
 
 
+# byte k: parity of the k-th lexicographic permutation, i.e. of k's factorial digit sum
+_FLIP = bytes([1, 0]) + bytes(254)
+_ODD = b"\0"
+for _n in range(2, 8):
+    _ODD = b"".join(_ODD.translate(_FLIP) if a & 1 else _ODD for a in range(_n))
+_EVEN = _ODD.translate(_FLIP)
+
+
 def class_elements(p, m):
     """Iterate the full alternating class of the standard p-cycle at degree m,
     each element exactly once.
 
-    Enumerates all p-cycles (support choice times cyclic order anchored at
-    the least moved point) and keeps the half lying in the class of
-    (1 2 ... p): the class of p-cycles always splits since the type is
-    all-odd-all-distinct. A cycle is kept when its point arrangement, the
-    cycle read from its least point and then the off-support points in
-    increasing order, is even. As a 1-based image list the arrangement is a
-    g with g (1 2 ... p) g^-1 equal to the cycle, and all such conjugators
-    form the coset g C, C the centralizer of (1 2 ... p) in S_m. At
-    m <= p + 1 that p-cycle generates C, so C is even and g's sign decides.
+    Walks the p-cycles by support, then by the lexicographic order of the
+    cycle after its least point, and keeps the half whose point arrangement
+    (that cycle, then the off-support points in increasing order) is even.
+    The arrangement conjugates (1 2 ... p) to the cycle, and at m <= p + 1
+    every other such conjugator differs from it by a power of (1 2 ... p),
+    which is even. The least point inverts nothing, and the i-th support
+    point s_i (from 0) exceeds s_i - i off-support points, so the sign is
+    the tail's times that of sum(s_i - i). The tail's last (up to 7) places
+    read theirs from a fixed table; each prefix before them adds its own.
     """
     _check_class(p, m)
-    for support in combinations(range(1, m + 1), p):
-        rest = tuple(q for q in range(1, m + 1) if q not in support)
-        for tail in permutations(support[1:]):
-            points = (support[0],) + tail
-            if Permutation.from_one_based(points + rest).parity() == 1:
-                yield Permutation.cycle(list(points), m)
+    identity = list(range(m))
+    for support in combinations(range(m), p):
+        head, items = support[:1], support[1:]
+        cross = sum(support) - p * (p - 1) // 2
+        for prefix in permutations(items, max(p - 8, 0)):
+            unused = tuple(x for x in items if x not in prefix)
+            sign = cross + sum(
+                y < x for i, x in enumerate(prefix) for y in prefix[i + 1 :] + unused
+            )
+            for tail in compress(permutations(unused), _ODD if sign & 1 else _EVEN):
+                body = prefix + tail
+                images = identity.copy()
+                for x, y in zip(head + body, body + head):
+                    images[x] = y
+                yield Permutation._of(tuple(images))
 
 
 def seeded_conjugates(p, m, seed=0):

@@ -10,7 +10,8 @@ composition, compose(a, b) applies b first.
 `Permutation(...)`, `cycle`, `parse_cycles`, `restricted_to` and
 `from_json_dict` check that their input is a bijection. Results that are
 bijections by construction (products, inverses, conjugates, powers,
-extensions) go through the unchecked `Permutation._of`.
+extensions, chain samples, aligning conjugators, the cycles of
+`constructions.class_elements`) go through the unchecked `Permutation._of`.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ class Permutation:
     @classmethod
     def identity(cls, degree):
         return cls(range(degree))
-
-    @classmethod
-    def from_one_based(cls, images):
-        """Build from a 1-based image list, e.g. [2, 3, 1] for (1 2 3)."""
-        return cls(i - 1 for i in images)
 
     @classmethod
     def cycle(cls, points, degree):
@@ -202,7 +198,7 @@ class Permutation:
             raise ValueError("images must be a list of integers")
         if type(degree) is not int or degree != len(images):
             raise ValueError("degree field does not match images length")
-        return cls.from_one_based(images)
+        return cls(i - 1 for i in images)
 
 
 def _compose(a, b):

@@ -5,6 +5,7 @@ caller in src/, so these checks keep them from being deleted as unused.
 They read perfbench/ and change nothing in it."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,14 @@ def test_every_traced_function_resolves_and_the_tracer_installs(perfbench):
         tracer.install()
     finally:
         tracer.restore()
+
+
+def test_class_elements_stays_a_generator_function():
+    # the tracer wraps generator functions so that it counts the elements
+    # they yield; a plain function returning an iterator would lose the count
+    from rackforge import constructions
+
+    assert inspect.isgeneratorfunction(constructions.class_elements)
 
 
 @pytest.mark.parametrize("name", ["alt-identify", "linear-search", "cohomology"])

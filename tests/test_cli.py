@@ -180,7 +180,29 @@ def test_witness_cache_recovers_from_a_truncated_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cache]
 
 
-SEARCH_7 = ("witness", "--p", "7", "--m", "8", "--json")
+def test_witness_cache_that_cannot_be_written_still_reports_the_search(tmp_path, capsys):
+    cache = tmp_path / "nodir" / "w.json"
+    code, out, err = run_cli(capsys, "witness", "--p", "7", "--m", "8", "--cache", str(cache))
+    assert code == 1
+    assert "search p=7 m=8 strategy=subgroup seed=0: witness" in out
+    assert "conjugacy search: no" in out
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_witness_cache_on_a_directory_reports_the_search_and_leaves_no_temporary(tmp_path, capsys):
+    directory = tmp_path / "store"
+    directory.mkdir()
+    _, fresh, _ = run_json(capsys, *SEARCH_7)
+    code, out, err = run_cli(capsys, *SEARCH_7, "--cache", str(directory))
+    assert code == 1
+    assert strip_clock(json.loads(out)) == strip_clock(fresh)
+    assert err.splitlines()[-1].startswith("error: ")
+    assert list(tmp_path.iterdir()) == [directory]
+    assert list(directory.iterdir()) == []
+
+
+SEARCH_7 =("witness", "--p", "7", "--m", "8", "--json")
 KEY_7 = "p=7,m=8,strategy=subgroup,seed=0"
 
 

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -295,6 +297,18 @@ def test_natural_class_rejects_bad_input():
         natural_class(5, 7)
 
 
+def _class_in_walk_order(p, m):
+    """Every p-cycle at degree m, by support and then by the lexicographic
+    order of the cycle after its least point, kept when groups decides it is
+    an A_m-conjugate of the standard p-cycle: no sign rule of the walk."""
+    sigma = natural_class(p, m).sigma
+    for support in combinations(range(1, m + 1), p):
+        for tail in permutations(support[1:]):
+            cycle = Permutation.cycle([support[0], *tail], m)
+            if alternating_conjugate(sigma, cycle, m):
+                yield cycle
+
+
 def test_class_elements_enumerates_exactly_the_class():
     for p, m in ((5, 5), (5, 6), (7, 7)):
         info = natural_class(p, m)
@@ -304,6 +318,25 @@ def test_class_elements_enumerates_exactly_the_class():
         for tau in elems[:40]:
             assert tau.order() == p
             assert alternating_conjugate(info.sigma, tau, m)
+    # the order is pinned too: whole classes, then the head of larger ones
+    for p, m, count in ((5, 5, None), (5, 6, None), (7, 7, None), (7, 8, None),
+                        (11, 11, 20000), (11, 12, 20000), (13, 13, 20000)):
+        walked = list(islice(class_elements(p, m), count))
+        assert walked == list(islice(_class_in_walk_order(p, m), count)), (p, m)
+        assert len(walked) == (count or natural_class(p, m).class_size)
+
+
+@pytest.mark.parametrize("p", [13, 17, 23, 31])
+def test_class_elements_is_lazy_at_every_degree(p):
+    # a table or list as long as the (p-1)! tails would blow the bound
+    tracemalloc.start()
+    try:
+        first = next(class_elements(p, p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == Permutation.cycle(list(range(1, p + 1)), p)
+    assert peak < 1 << 20
 
 
 def test_class_elements_matches_group_enumeration():
