@@ -30,7 +30,6 @@ from .groups import (
     build_bsgs,
     conjugacy_class_list,
     conjugacy_orbit_contains,
-    symmetric_group,
 )
 from .constructions import (
     NaturalClass,
@@ -75,7 +74,7 @@ from .classify import (
     symmetric_group_witness,
     witness_search,
 )
-from .acceptance import CRITERIA, CriterionResult, run_all, run_criterion
+from .acceptance import CRITERIA, CriterionResult, run_criterion
 
 __version__ = "0.1.0"
 
@@ -100,7 +99,6 @@ __all__ = [
     "build_bsgs",
     "conjugacy_class_list",
     "conjugacy_orbit_contains",
-    "symmetric_group",
     "NaturalClass",
     "ProjectivePointIndex",
     "affine_frobenius_group",
@@ -138,7 +136,6 @@ __all__ = [
     "witness_search",
     "CRITERIA",
     "CriterionResult",
-    "run_all",
     "run_criterion",
     "__version__",
 ]

@@ -47,7 +47,7 @@ from .rack import (
     type_d_pair,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criterion"]
 
 
 @dataclass(frozen=True)
@@ -557,7 +557,3 @@ def run_criterion(number):
         bound_seconds=criterion.bound_seconds,
         details=details,
     )
-
-
-def run_all():
-    return tuple(run_criterion(c.number) for c in CRITERIA)

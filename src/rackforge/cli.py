@@ -18,6 +18,7 @@ import time
 from . import __version__
 from .acceptance import CRITERIA, run_criterion
 from .classify import (
+    SearchOutcome,
     _reverify,
     classify_class,
     fw_identify,
@@ -134,8 +135,9 @@ def _cache_load(path, key, args):
     entry is served only when it was stored for this very request (p, m,
     strategy, seed and budget), its pair counts are consistent (counts are
     non-negative ints and fewer pairs were indeterminate than tested), its
-    orbit answer is "no", and its witness re-checks for (p, m) from scratch
-    as a fresh search would."""
+    orbit answer is "no", its witness re-checks for (p, m) from scratch as
+    a fresh search would, and it holds exactly the fields, types and values
+    that a fresh search's report of that witness would hold."""
     if not path:
         return None
     entries = _cache_entries(path)
@@ -157,7 +159,11 @@ def _cache_load(path, key, args):
             raise ValueError("pair counts out of range")
         if entry["witness"]["orbit_answer"] != "no":
             raise ValueError("a witness needs a completed orbit search")
-        _reverify(TypeDWitness.from_json_dict(entry["witness"]), args.p, args.m)
+        witness = _reverify(TypeDWitness.from_json_dict(entry["witness"]), args.p, args.m)
+        rebuilt = SearchOutcome(*request[:3], "witness", witness, *counts, *request[3:])
+        # dumps, not dicts: 1.0 == 1 and True == 1 in Python, but not in a report
+        if json.dumps(entry, sort_keys=True) != json.dumps(rebuilt.to_json_dict(), sort_keys=True):
+            raise ValueError("the entry holds fields a fresh search does not report")
     except _OtherRequest:
         _log("cache entry for %s was stored for another request, searching again" % key)
         return None

@@ -138,9 +138,9 @@ def order_p_class_reps(G, p, seed=0):
     H = {e : x^e ~ x} is a subgroup of (Z/p)^* whose cosets are the classes
     of the powers, and the reps are x^l for the least l of each coset, in
     increasing order. Deciding H takes p - 1 conjugacy tests x ~ x^e: in
-    closed form when G is the full alternating or symmetric group on the
-    points it moves, else by sifting the |C(x)| conjugators of x onto x^e
-    when |C(x)|^2 <= |G|, else by an orbit search.
+    closed form when G is the full alternating group on the points it
+    moves, else by sifting the |C(x)| conjugators of x onto x^e when
+    |C(x)|^2 <= |G|, else by an orbit search.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")

@@ -37,7 +37,6 @@ __all__ = [
     "conjugacy_class_list",
     "alternating_conjugate",
     "alternating_group",
-    "symmetric_group",
 ]
 
 
@@ -118,12 +117,6 @@ class PermGroup:
         index-2 subgroup of a finite symmetric group."""
         u = len(self.moved_points())
         return u >= 3 and self.order == factorial(u) // 2
-
-    def is_natural_symmetric(self):
-        """Whether this group is the full symmetric group on the points it
-        moves."""
-        u = len(self.moved_points())
-        return u >= 2 and self.order == factorial(u)
 
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d, base=%r)" % (
@@ -340,10 +333,10 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
     """Decide whether target is a group-conjugate of x, for any two
     permutations of the group's degree.
 
-    When the group is the full alternating or symmetric group on the points
-    U it moves and both inputs fix every point outside U, the answer comes
-    in closed form with visited = 0: in Alt(U) from alternating_conjugate on
-    the pair restricted to U, in Sym(U) from equal cycle types.
+    When the group is the full alternating group on the points U it moves
+    and both inputs fix every point outside U, the answer comes in closed
+    form with visited = 0, from alternating_conjugate on the pair restricted
+    to U. No group the package builds is odd, so none is Sym(U).
 
     Otherwise, when the centralizer C of x in Sym(n) has |C|^2 <= |H| and
     |C| <= cap, the answer is decided without enumerating the orbit, again
@@ -367,9 +360,6 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
     )
     if confined and group.is_natural_alternating():
         same = alternating_conjugate(x.restricted_to(moved), target.restricted_to(moved))
-        return OrbitProbe("yes" if same else "no", 0)
-    if confined and group.is_natural_symmetric():
-        same = next(_aligning_conjugators(x, target), None) is not None
         return OrbitProbe("yes" if same else "no", 0)
     coset = _centralizer_order(x)
     if coset <= cap and coset * coset <= group.order:
@@ -482,15 +472,3 @@ def alternating_group(m):
     else:
         long_cycle = Permutation.cycle(list(range(2, m + 1)), m)
     return build_bsgs([three, long_cycle])
-
-
-def symmetric_group(m):
-    """S_m generated by a transposition and an m-cycle."""
-    if m < 1:
-        raise ValueError("degree must be at least 1")
-    if m == 1:
-        return build_bsgs([Permutation.identity(1)], degree=1)
-    swap = Permutation.cycle([1, 2], m)
-    if m == 2:
-        return build_bsgs([swap])
-    return build_bsgs([swap, Permutation.cycle(list(range(1, m + 1)), m)])

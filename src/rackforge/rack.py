@@ -107,13 +107,11 @@ class FiniteRack:
 def validate_rack(table):
     """Raise ValueError unless the table is a rack.
 
-    Accepts a FiniteRack or a raw table. Checks that rows are bijections
-    and that self-distributivity holds, in the translation form: the row
-    of act(x, y) equals row_x . row_y . row_x^-1, verified pairwise as
-    act(x, act(y, z)) = act(act(x, y), act(x, z)) for all z at once.
+    Checks that rows are bijections and that self-distributivity holds, in
+    the translation form: the row of act(x, y) equals row_x . row_y .
+    row_x^-1, verified pairwise as act(x, act(y, z)) = act(act(x, y),
+    act(x, z)) for all z at once.
     """
-    if isinstance(table, FiniteRack):
-        table = table.table
     tab = tuple(tuple(row) for row in table)
     n = len(tab)
     full = set(range(n))
@@ -272,6 +270,8 @@ class TypeDWitness:
 
     @classmethod
     def from_json_dict(cls, data):
+        if type(data["subgroup_order"]) is not int:
+            raise ValueError("subgroup_order must be an integer")
         sigma = Permutation.from_json_dict(data["sigma"])
         tau = Permutation.from_json_dict(data["tau"])
         st = sigma * tau
@@ -297,17 +297,17 @@ class TypeDResult:
     subgroup_order: Optional[int] = None
 
 
-def type_d_pair(sigma, tau, cap=10_000_000):
+def type_d_pair(sigma, tau):
     """Test the two pair conditions: (st)^2 != (ts)^2, and s not conjugate
     to t inside the subgroup generated by the two.
 
     The square condition is checked first since it is cheap. The conjugacy
     question is decided by conjugacy_orbit_contains without enumerating the
-    orbit when the generated subgroup is a full alternating or symmetric
-    group on its moved points, or, when sigma's centralizer C in Sym(n) has
-    |C|^2 <= |H| and |C| <= cap, by sifting the |C| conjugators of sigma
-    onto tau into H; otherwise by a capped orbit search. A capped search
-    yields Indeterminate, never a guess.
+    orbit when the generated subgroup is the full alternating group on its
+    moved points, or, when sigma's centralizer C in Sym(n) has
+    |C|^2 <= |H|, by sifting the |C| conjugators of sigma onto tau into H;
+    otherwise by an orbit search under that function's default cap. A
+    capped search yields Indeterminate, never a guess.
     """
     st = sigma * tau
     ts = tau * sigma
@@ -316,7 +316,7 @@ def type_d_pair(sigma, tau, cap=10_000_000):
     if st2 == ts2:
         return TypeDResult("Ax1Fail", "squares of the two products agree")
     subgroup = pair_subgroup(sigma, tau)
-    probe = conjugacy_orbit_contains(subgroup, sigma, tau, cap=cap)
+    probe = conjugacy_orbit_contains(subgroup, sigma, tau)
     if probe.answer == "capped":
         return TypeDResult(
             "Indeterminate",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from itertools import combinations, permutations
 from math import factorial
@@ -306,9 +307,13 @@ def test_witness_search_subgroup_strategy():
         assert (out.status, out.pairs_tested, out.indeterminate) == ("exhausted", 0, 0)
 
 
-def test_type_d_pair_capped_search_is_indeterminate():
+def test_type_d_pair_capped_search_is_indeterminate(monkeypatch):
+    from rackforge import groups, rack
+
     w = witness_search(13, 13, strategy="subgroup").witness
-    result = type_d_pair(w.sigma, w.tau, cap=1)
+    capped = functools.partial(groups.conjugacy_orbit_contains, cap=1)
+    monkeypatch.setattr(rack, "conjugacy_orbit_contains", capped)
+    result = type_d_pair(w.sigma, w.tau)
     assert result.verdict == "Indeterminate"
     assert result.witness is None
     assert result.subgroup_order == 5616
@@ -431,6 +436,17 @@ def test_subrack_census_five_exhaustive():
         (1, "i", 5, True): 1,
         (2, "i", 5, True): 1,
         (12, "xiii", 60, False): 10,
+    }
+    report = subrack_census(5, 6)
+    assert report.exhaustive
+    assert report.pairs == 72
+    rows = {(r.closure_size, r.case_tag, r.subgroup_order, r.abelian): r.count for r in report.rows}
+    assert rows == {
+        (1, "i", 5, True): 1,
+        (2, "i", 5, True): 1,
+        (12, "v", 60, False): 10,
+        (12, "xiii", 60, False): 10,
+        (72, "xiii", 360, False): 50,
     }
 
 
@@ -556,6 +572,14 @@ def test_lemma_square_check_seven_dichotomy_but_bound_fails():
     data = report.to_json_dict()
     assert data["holds"] is False
     assert data["violations"][0]["clause"] == "order bound"
+    # one point more: (square pairs, commuting, order two), and every
+    # involution-branch pair breaks the bound
+    for (p, m), counts in {(5, 6): (12, 2, 10), (7, 8): (66, 3, 63)}.items():
+        report = lemma_square_check(p, m)
+        assert report.exhaustive
+        assert (report.square_pairs, report.commuting, report.order_two) == counts
+        assert [clause for _, clause, _ in report.violations] == ["order bound"] * counts[2]
+        assert all(value > p * p for _, _, value in report.violations)
 
 
 def _tuple_cycle(points, degree):

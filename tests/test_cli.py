@@ -233,6 +233,10 @@ def _tampered(entry, path, value):
         [(("indeterminate",), "0")],
         [(("pairs_tested",), 1), (("indeterminate",), 1)],
         [(("witness", "orbit_answer"), "capped")],
+        # fields that re-verify but are not what a fresh search reports
+        [(("witness", "subgroup_order"), 56.0)],
+        [(("extra",), "planted")],
+        [(("witness", "note"), "planted")],
     ],
 )
 def test_witness_cache_rejects_an_entry_that_does_not_fit_the_request(tmp_path, capsys, changes):
@@ -277,6 +281,21 @@ def test_census_identifies_every_pair_at_eight_points(capsys):
     assert sum(row["count"] for row in result["rows"]) == result["pairs"] == 2880
     affine = [row for row in result["rows"] if row["case_tag"] == "xi"]
     assert [(row["subgroup_order"], row["count"]) for row in affine] == [(1344, 252)]
+    rows = [
+        (row["closure_size"], row["case_tag"], row["subgroup_order"], row["abelian"], row["count"])
+        for row in result["rows"]
+    ]
+    assert rows == [
+        (1, "i", 7, True, 1),
+        (2, "i", 7, True, 2),
+        (8, "x", 56, False, 14),
+        (16, "x", 56, False, 28),
+        (24, "iii", 168, False, 42),
+        (24, "v", 168, False, 21),
+        (192, "xi", 1344, False, 252),
+        (360, "xiii", 2520, False, 315),
+        (2880, "xiii", 20160, False, 2205),
+    ]
 
 
 def test_census_human_table(capsys):

@@ -17,8 +17,8 @@ from rackforge import groups
 from rackforge.groups import (
     alternating_conjugate,
     alternating_group,
+    build_bsgs,
     conjugacy_orbit_contains,
-    symmetric_group,
 )
 from rackforge.perm import Permutation
 
@@ -254,7 +254,9 @@ def test_order_p_class_reps_uses_the_closed_form_on_natural_groups(monkeypatch):
 
     monkeypatch.setattr(groups, "_conjugates", no_walk)
     assert len(order_p_class_reps(alternating_group(13), 13)) == 2
-    assert len(order_p_class_reps(symmetric_group(13), 13)) == 1
+    # S_13 has no closed form; the coset sift answers (|C(x)| = 13)
+    s13 = build_bsgs([Permutation.cycle([1, 2], 13), Permutation.cycle(range(1, 14), 13)])
+    assert len(order_p_class_reps(s13, 13)) == 1
 
 
 def test_order_p_class_reps_sift_the_coset_on_the_search_groups(monkeypatch):
@@ -274,7 +276,7 @@ def test_order_p_class_reps_sift_the_coset_on_the_search_groups(monkeypatch):
 
     monkeypatch.setattr(groups, "_conjugates", no_walk)
     for group, p in groups_by_p:
-        assert not group.is_natural_alternating() and not group.is_natural_symmetric()
+        assert not group.is_natural_alternating()
         reps = order_p_class_reps(group, p, seed=5)
         assert len(reps) > 1 and (p - 1) % len(reps) == 0
 

@@ -14,9 +14,14 @@ from rackforge.groups import (
     build_bsgs,
     conjugacy_class_list,
     conjugacy_orbit_contains,
-    symmetric_group,
 )
 from rackforge.perm import Permutation, conjugate, parse_cycles
+
+
+def symmetric(n):
+    """S_n from a transposition and an n-cycle, n >= 2: an oracle fixture,
+    since no group the package builds from p-cycles is odd."""
+    return build_bsgs([Permutation.cycle([1, 2], n), Permutation.cycle(range(1, n + 1), n)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,14 +46,12 @@ def random_even(degree, rng):
 def test_group_orders():
     for m in range(3, 11):
         assert alternating_group(m).order == math.factorial(m) // 2
-        assert symmetric_group(m).order == math.factorial(m)
+        assert symmetric(m).order == math.factorial(m)
 
 
 def test_natural_group_detection():
     assert alternating_group(6).is_natural_alternating()
-    assert not alternating_group(6).is_natural_symmetric()
-    assert symmetric_group(6).is_natural_symmetric()
-    assert not symmetric_group(6).is_natural_alternating()
+    assert not symmetric(6).is_natural_alternating()
     klein = build_bsgs(
         [parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)]
     )
@@ -60,7 +63,7 @@ def test_membership_by_parity():
     a7 = alternating_group(7)
     assert a7.contains(Permutation.cycle([1, 2, 3], 7))
     assert not a7.contains(Permutation.cycle([1, 2], 7))
-    assert symmetric_group(7).contains(Permutation.cycle([1, 2], 7))
+    assert symmetric(7).contains(Permutation.cycle([1, 2], 7))
 
 
 def test_membership_in_proper_subgroup():
@@ -89,7 +92,7 @@ def test_build_bsgs_needs_degree_for_empty_generators():
 
 def test_sample_is_in_group_and_uniformish():
     rng = random.Random(31)
-    s3 = symmetric_group(3)
+    s3 = symmetric(3)
     counts = {}
     draws = 30_000
     for _ in range(draws):
@@ -115,7 +118,7 @@ def test_conjugacy_class_list_sizes():
     assert len(conjugacy_class_list(a5, five_cycle)) == 12
     three_cycle = Permutation.cycle([1, 2, 3], 5)
     assert len(conjugacy_class_list(a5, three_cycle)) == 20
-    s5 = symmetric_group(5)
+    s5 = symmetric(5)
     assert len(conjugacy_class_list(s5, five_cycle)) == 24
 
 
@@ -303,8 +306,9 @@ def _on_points(perm, points, degree):
 
 
 def test_conjugacy_orbit_closed_forms_against_bfs_on_embedded_groups():
-    # Alt(U) and Sym(U) for U = {2..7} inside degree 8: confined pairs are
-    # answered in closed form (visited 0) and agree with a BFS orbit
+    # Alt(U) and Sym(U) for U = {2..7} inside degree 8: every answer agrees
+    # with a BFS orbit, and Alt(U) answers confined pairs in closed form
+    # (visited 0). Sym(U) has no closed form: the package builds no odd group
     points = list(range(2, 8))
     rng = random.Random(61)
 
@@ -331,7 +335,9 @@ def test_conjugacy_orbit_closed_forms_against_bfs_on_embedded_groups():
                 orbits[x.images] = _bfs_orbit(gens, x.images)
             expected = target.images in orbits[x.images]
             probe = conjugacy_orbit_contains(group, x, target)
-            assert (probe.answer, probe.visited) == ("yes" if expected else "no", 0)
+            assert probe.answer == ("yes" if expected else "no")
+            if group is alt:
+                assert probe.visited == 0
             parities.add((x.parity(), target.parity()))
             yes += expected
         assert parities == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -345,7 +351,7 @@ def test_conjugacy_orbit_closed_forms_against_bfs_on_embedded_groups():
 def test_class_fusion_matches_split_rule():
     # the A_m class of an all-odd-all-distinct type has half the S_m size
     a7 = alternating_group(7)
-    s7 = symmetric_group(7)
+    s7 = symmetric(7)
     seven = Permutation.cycle(list(range(1, 8)), 7)
     assert len(conjugacy_class_list(s7, seven)) == 720
     assert len(conjugacy_class_list(a7, seven)) == 360

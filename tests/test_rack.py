@@ -23,7 +23,7 @@ def cyclic_rack(n, step=1):
 
 def test_validate_rack_accepts_class_racks():
     for p, m in ((5, 5), (5, 6)):
-        validate_rack(class_rack(p, m))
+        validate_rack(class_rack(p, m).table)
 
 
 def test_validate_rack_rejects_non_bijective_rows():
