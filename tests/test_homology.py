@@ -1,11 +1,13 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rackforge import homology
 from rackforge.homology import (
+    HomologyResult,
     IntegerMatrix,
     boundary_matrices,
     second_homology,
@@ -232,8 +234,6 @@ def test_twentyfour_subrack_golden_value():
 
 
 def test_cohomology_pretty_rendering():
-    from rackforge.homology import HomologyResult
-
     assert HomologyResult(0, ()).pretty == "1"
     assert HomologyResult(2, (3, 6)).pretty == "k^× × k^× × G_3 × G_6"
     assert HomologyResult(0, (2,)).to_json_dict() == {
@@ -244,14 +244,144 @@ def test_cohomology_pretty_rendering():
 
 
 def test_homology_result_validation():
-    from rackforge.homology import HomologyResult
-
     with pytest.raises(ValueError):
         HomologyResult(free_rank=-1, torsion=())
     with pytest.raises(ValueError):
         HomologyResult(free_rank=0, torsion=(1,))
     with pytest.raises(ValueError):
         HomologyResult(free_rank=0, torsion=(4, 6))
+
+
+def dihedral_quandle(n):
+    return FiniteRack([[(2 * x - y) % n for y in range(n)] for x in range(n)])
+
+
+def alexander_quandle(n, t):
+    """act(x, y) = t*y + (1 - t)*x mod n, for t a unit mod n."""
+    return FiniteRack([[(t * y + (1 - t) * x) % n for y in range(n)] for x in range(n)])
+
+
+def permutation_rack(images):
+    """act(x, y) = f(y) for every x: a rack, and no quandle unless f = 1."""
+    return FiniteRack([list(images)] * len(images))
+
+
+def disjoint_union(a, b):
+    """a and b side by side, each acting trivially on the other."""
+    n = a.size
+    rows = [list(row) + list(range(n, n + b.size)) for row in a.table]
+    rows += [list(range(n)) + [n + v for v in row] for row in b.table]
+    return FiniteRack(rows)
+
+
+def full_d3_homology(rack):
+    """H_2 from every column of d3, as second_homology computed it before
+    it kept only the columns of generating points."""
+    d2, d3 = boundary_matrices(rack)
+    _, rank2 = smith_normal_form(d2)
+    factors3, rank3 = smith_normal_form(d3)
+    return HomologyResult(rack.size**2 - rank2 - rank3, tuple(d for d in factors3 if d > 1))
+
+
+def test_second_homology_matches_the_full_d3():
+    racks = [dihedral_quandle(n) for n in range(3, 10)]
+    racks += [alexander_quandle(n, t) for n, t in ((5, 2), (7, 3), (8, 3), (8, 5), (9, 2))]
+    racks += [permutation_rack(f) for f in ((1, 2, 3, 0), (1, 0, 3, 4, 2), (0, 2, 1))]
+    racks += [trivial_rack(n) for n in (1, 2, 3)]
+    racks.append(disjoint_union(dihedral_quandle(3), dihedral_quandle(5)))
+    racks += small_conjugation_racks(8, seed=73)
+    rng = random.Random(74)
+    for golden in (class_rack(5, 5), twentyfour_subrack()):
+        for _ in range(2):
+            perm = list(range(golden.size))
+            rng.shuffle(perm)
+            racks.append(relabelled(golden, perm))
+    sizes = set()
+    for rack in racks:
+        generators = homology._generating_points(rack.table)
+        sizes.add(len(generators))
+        assert subrack_closure(rack, generators) == frozenset(range(rack.size))
+        assert second_homology(rack) == full_d3_homology(rack), rack.table
+    assert {1, 2, 3, 4} <= sizes
+    # no column can be skipped on a trivial rack: every point generates only itself
+    assert homology._generating_points(trivial_rack(3).table) == [0, 1, 2]
+    eight_five = alexander_quandle(8, 5)
+    assert len(homology._generating_points(eight_five.table)) == 4
+    assert second_homology(eight_five).torsion == (2, 2, 2, 2)
+
+
+def test_second_homology_reduces_only_the_columns_of_generating_points(monkeypatch):
+    reduced = []
+    real = homology.smith_normal_form
+
+    def recording(matrix):
+        reduced.append({c for _, c in matrix.entries})
+        return real(matrix)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    rack = twentyfour_subrack()
+    n = rack.size
+    assert second_homology(rack).torsion == (14,)
+    generators = homology._generating_points(rack.table)
+    assert len(generators) == 2
+    d2_columns, d3_columns = reduced
+    assert len(d3_columns) <= len(generators) * n * n == 1152
+    assert {c // (n * n) for c in d3_columns} <= set(generators)
+    assert boundary_matrices(rack)[1].cols == 13824
+
+
+def self_distributivity_failures(table, firsts):
+    n = len(table)
+    return [
+        (x, y, z)
+        for x in firsts
+        for y in range(n)
+        for z in range(n)
+        if table[x][table[y][z]] != table[table[x][y]][table[x][z]]
+    ]
+
+
+def test_second_homology_checks_every_triple():
+    # self-distributive at every triple whose first point generates, so the
+    # d3 columns second_homology keeps pass d2 . d3 = 0; the row of 1 is no
+    # bijection and (2, 1, 1) fails, so the table is no rack
+    table = ((0, 1, 2), (0, 2, 0), (0, 1, 0))
+    generators = homology._generating_points(table)
+    assert generators == [0, 1]
+    assert self_distributivity_failures(table, generators) == []
+    assert self_distributivity_failures(table, range(3)) == [(2, 1, 1)]
+    assert homology._d2(table).multiply(homology._d3(table, generators)).is_zero()
+    rack = FiniteRack(table, check=False)
+    with pytest.raises(ValueError):
+        second_homology(rack)
+    with pytest.raises(ValueError):
+        boundary_matrices(rack)
+
+
+def test_bijective_rows_self_distributive_at_generating_points_make_a_rack():
+    # why a non-rack table that passes on the generating points needs a row
+    # that is no bijection: when the rows of a and b are automorphisms, the
+    # row of act(a, b) is their conjugate, so the points with automorphism
+    # rows are closed and hold the generating points. All 24^4 tables of
+    # bijections on 4 points, exhaustively:
+    passing = 0
+    for table in product(permutations(range(4)), repeat=4):
+        if self_distributivity_failures(table, homology._generating_points(table)):
+            continue
+        passing += 1
+        assert self_distributivity_failures(table, range(4)) == [], table
+    assert passing > 100
+
+
+def test_seventy_two_element_class_golden_value():
+    rack = class_rack(5, 6)
+    assert rack.size == 72
+    assert homology._generating_points(rack.table) == [0, 1, 12]
+    structure = second_homology(rack)
+    # Etingof-Grana: free rank (Inn-orbits)^2, and the class is one orbit
+    assert structure.free_rank == inner_orbit_count(rack) ** 2 == 1
+    assert structure.torsion == (30,)
+    assert structure.pretty == "k^× × G_30"
 
 
 def scrambled_diagonal(chain, rows, cols, rng):
