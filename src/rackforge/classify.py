@@ -213,8 +213,9 @@ def _case_of(p, group):
 class SearchOutcome:
     """Result of a witness search: found, proven absent, or budget ran out.
 
-    Absence is only ever claimed after a completed exhaustive enumeration
-    with no indeterminate verdicts.
+    Absence is only ever claimed after a completed exhaustive enumeration.
+    Every pair test ends in a verdict, so the report's "indeterminate"
+    count is always 0.
     """
 
     p: int
@@ -223,7 +224,6 @@ class SearchOutcome:
     status: str  # "witness" | "absence" | "exhausted"
     witness: Optional[TypeDWitness]
     pairs_tested: int
-    indeterminate: int
     seed: Optional[int] = None
     budget: Optional[int] = None
 
@@ -234,7 +234,7 @@ class SearchOutcome:
             "strategy": self.strategy,
             "status": self.status,
             "pairs_tested": self.pairs_tested,
-            "indeterminate": self.indeterminate,
+            "indeterminate": 0,
             "seed": self.seed,
             "budget": self.budget,
         }
@@ -244,16 +244,14 @@ class SearchOutcome:
 
 def _first_witness(sigma, taus):
     """Test (sigma, tau) for each tau in order, stopping at the first
-    witness; returns (witness or None, pairs tested, indeterminate count)."""
-    tested = indet = 0
+    witness; returns (witness or None, pairs tested)."""
+    tested = 0
     for tau in taus:
         tested += 1
         result = type_d_pair(sigma, tau)
         if result.verdict == "Witness":
-            return result.witness, tested, indet
-        if result.verdict == "Indeterminate":
-            indet += 1
-    return None, tested, indet
+            return result.witness, tested
+    return None, tested
 
 
 def witness_search(p, m, strategy="subgroup", budget=None, seed=0, deep=False):
@@ -263,8 +261,8 @@ def witness_search(p, m, strategy="subgroup", budget=None, seed=0, deep=False):
     Every strategy is a stream of partners tau for the standard cycle,
     tested one at a time until the first witness or the budget:
     exhaustive: every class element as tau (proves absence when it
-    completes with no indeterminates); a run testing more than 100000
-    elements, the budget included, is gated by deep.
+    completes); a run testing more than 100000 elements, the budget
+    included, is gated by deep.
     random: seeded uniform conjugates of the standard cycle.
     subgroup: candidate pairs inside the linear groups attached to the
     cyclotomic decompositions of p, plus the affine Frobenius group when
@@ -288,15 +286,15 @@ def witness_search(p, m, strategy="subgroup", budget=None, seed=0, deep=False):
         taus = _subgroup_partners(p, m, seed)
     else:
         raise ValueError("unknown strategy %r" % strategy)
-    witness, tested, indet = _first_witness(spec.sigma, islice(taus, limit))
+    witness, tested = _first_witness(spec.sigma, islice(taus, limit))
     if witness is not None:
         status = "witness"
         witness = _reverify(witness, p, m)
-    elif strategy == "exhaustive" and tested == spec.class_size and indet == 0:
+    elif strategy == "exhaustive" and tested == spec.class_size:
         status = "absence"
     else:
         status = "exhausted"
-    return SearchOutcome(p, m, strategy, status, witness, tested, indet, seed, budget)
+    return SearchOutcome(p, m, strategy, status, witness, tested, seed, budget)
 
 
 def _subgroup_partners(p, m, seed):

@@ -133,11 +133,10 @@ def _cache_entries(path):
 def _cache_load(path, key, args):
     """The cached outcome for key, or None. Only witnesses are served. An
     entry is served only when it was stored for this very request (p, m,
-    strategy, seed and budget), its pair counts are consistent (counts are
-    non-negative ints and fewer pairs were indeterminate than tested), its
-    orbit answer is "no", its witness re-checks for (p, m) from scratch as
-    a fresh search would, and it holds exactly the fields, types and values
-    that a fresh search's report of that witness would hold."""
+    strategy, seed and budget), its count of pairs tested is a positive
+    int, its orbit answer is "no", its witness re-checks for (p, m) from
+    scratch as a fresh search would, and it holds exactly the fields, types
+    and values that a fresh search's report of that witness would hold."""
     if not path:
         return None
     entries = _cache_entries(path)
@@ -154,13 +153,13 @@ def _cache_load(path, key, args):
         stored = tuple(entry[name] for name in ("p", "m", "strategy", "seed", "budget"))
         if [(type(v), v) for v in stored] != [(type(v), v) for v in request]:
             raise _OtherRequest()
-        counts = (entry["pairs_tested"], entry["indeterminate"])
-        if any(type(c) is not int or c < 0 for c in counts) or counts[1] >= counts[0]:
-            raise ValueError("pair counts out of range")
+        tested = entry["pairs_tested"]
+        if type(tested) is not int or tested < 1:
+            raise ValueError("pair count out of range")
         if entry["witness"]["orbit_answer"] != "no":
             raise ValueError("a witness needs a completed orbit search")
         witness = _reverify(TypeDWitness.from_json_dict(entry["witness"]), args.p, args.m)
-        rebuilt = SearchOutcome(*request[:3], "witness", witness, *counts, *request[3:])
+        rebuilt = SearchOutcome(*request[:3], "witness", witness, tested, *request[3:])
         # dumps, not dicts: 1.0 == 1 and True == 1 in Python, but not in a report
         if json.dumps(entry, sort_keys=True) != json.dumps(rebuilt.to_json_dict(), sort_keys=True):
             raise ValueError("the entry holds fields a fresh search does not report")

@@ -3,8 +3,8 @@
 The engine computes a base and strong generating set with exact big-integer
 orders, sifting membership tests, uniform random sampling through the
 stabilizer-chain transversals, and conjugacy tests that sift the coset of
-conjugators when it is small and otherwise run a capped breadth-first orbit
-search. Base points are chosen deterministically (smallest moved point
+conjugators when it is small and otherwise run a breadth-first orbit search
+to its end. Base points are chosen deterministically (smallest moved point
 first), so identical generator lists always produce identical chains.
 
 pair_subgroup recognises one family without a chain: two prime q-cycles
@@ -301,12 +301,12 @@ def pair_subgroup(sigma, tau):
 
 @dataclass(frozen=True)
 class OrbitProbe:
-    """Outcome of a capped conjugacy orbit search. visited is the number of
+    """Outcome of a conjugacy orbit search. visited is the number of
     conjugates the breadth-first search enumerated; 0 means the answer was
     decided without enumerating the orbit (a closed form or a sift of the
     centralizer coset)."""
 
-    answer: str  # 'yes' | 'no' | 'capped'
+    answer: str  # 'yes' | 'no'
     visited: int
 
 
@@ -329,7 +329,7 @@ def _conjugates(group, x):
         frontier = next_frontier
 
 
-def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
+def conjugacy_orbit_contains(group, x, target):
     """Decide whether target is a group-conjugate of x, for any two
     permutations of the group's degree.
 
@@ -338,15 +338,16 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
     form with visited = 0, from alternating_conjugate on the pair restricted
     to U. No group the package builds is odd, so none is Sym(U).
 
-    Otherwise, when the centralizer C of x in Sym(n) has |C|^2 <= |H| and
-    |C| <= cap, the answer is decided without enumerating the orbit, again
-    with visited = 0: the g with g x g^-1 = target form one coset g0 C, so
-    target is an H-conjugate of x exactly when one of its |C| elements sifts
-    into H. The orbit has |H|/|C_H(x)| >= |H|/|C| >= |C| elements, so this
-    never tests more candidates than a full search visits.
+    Otherwise, when the centralizer C of x in Sym(n) has |C|^2 <= |H|, the
+    answer is decided without enumerating the orbit, again with visited = 0:
+    the g with g x g^-1 = target form one coset g0 C, so target is an
+    H-conjugate of x exactly when one of its |C| elements sifts into H. The
+    orbit has |H|/|C_H(x)| >= |H|/|C| >= |C| elements, so this never tests
+    more candidates than a full search visits.
 
     Every other case is a breadth-first search of {g x g^-1} by generator
-    conjugation with a visited-set cap.
+    conjugation, which visits at most the |H|/|C_H(x)| conjugates of x, so
+    the answer is always "yes" or "no".
     """
     n = group.degree
     if x.degree != n or target.degree != n:
@@ -362,7 +363,7 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
         same = alternating_conjugate(x.restricted_to(moved), target.restricted_to(moved))
         return OrbitProbe("yes" if same else "no", 0)
     coset = _centralizer_order(x)
-    if coset <= cap and coset * coset <= group.order:
+    if coset * coset <= group.order:
         same = any(group.contains(g) for g in _aligning_conjugators(x, target))
         return OrbitProbe("yes" if same else "no", 0)
     goal = target.images
@@ -371,22 +372,15 @@ def conjugacy_orbit_contains(group, x, target, cap=10_000_000):
         visited += 1
         if z == goal:
             return OrbitProbe("yes", visited)
-        if visited > max(cap, 1):  # x itself never trips the cap
-            return OrbitProbe("capped", visited)
     return OrbitProbe("no", visited)
 
 
-def conjugacy_class_list(group, x, cap=10_000_000):
+def conjugacy_class_list(group, x):
     """The full conjugacy class of x under the group, in BFS discovery
-    order, as Permutations. Raises when the class exceeds the cap."""
+    order, as Permutations."""
     if x.degree != group.degree:
         raise ValueError("degree mismatch in class enumeration")
-    out = []
-    for z in _conjugates(group, x.images):
-        out.append(Permutation._of(z))
-        if len(out) > max(cap, 1):  # x itself never trips the cap
-            raise ValueError("conjugacy class larger than cap %d" % cap)
-    return out
+    return [Permutation._of(z) for z in _conjugates(group, x.images)]
 
 
 def alternating_conjugate(sigma, tau, m=None):

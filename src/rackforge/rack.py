@@ -288,8 +288,7 @@ class TypeDWitness:
 
 @dataclass(frozen=True)
 class TypeDResult:
-    """Verdict on a pair: Ax1Fail, Ax2Fail, Witness, or Indeterminate when
-    the conjugacy search inside the generated subgroup hit its cap."""
+    """Verdict on a pair: Ax1Fail, Ax2Fail or Witness."""
 
     verdict: str
     reason: str
@@ -306,8 +305,8 @@ def type_d_pair(sigma, tau):
     orbit when the generated subgroup is the full alternating group on its
     moved points, or, when sigma's centralizer C in Sym(n) has
     |C|^2 <= |H|, by sifting the |C| conjugators of sigma onto tau into H;
-    otherwise by an orbit search under that function's default cap. A
-    capped search yields Indeterminate, never a guess.
+    otherwise by an orbit search run to its end. Every pair gets one of the
+    three verdicts.
     """
     st = sigma * tau
     ts = tau * sigma
@@ -317,12 +316,6 @@ def type_d_pair(sigma, tau):
         return TypeDResult("Ax1Fail", "squares of the two products agree")
     subgroup = pair_subgroup(sigma, tau)
     probe = conjugacy_orbit_contains(subgroup, sigma, tau)
-    if probe.answer == "capped":
-        return TypeDResult(
-            "Indeterminate",
-            "conjugacy orbit search stopped at %d elements" % probe.visited,
-            subgroup_order=subgroup.order,
-        )
     if probe.answer == "yes":
         return TypeDResult(
             "Ax2Fail",

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import random
 from itertools import combinations, permutations
 from math import factorial
@@ -252,7 +251,6 @@ def test_witness_search_exhaustive_absence():
         out = witness_search(p, m, strategy="exhaustive")
         assert out.status == "absence"
         assert out.pairs_tested == size
-        assert out.indeterminate == 0
         assert out.witness is None
 
 
@@ -272,7 +270,6 @@ def test_witness_search_deep_gate():
     out = witness_search(11, 11, strategy="exhaustive", budget=300)
     assert out.status == "exhausted"
     assert out.pairs_tested == 300
-    assert out.indeterminate == 0
     with pytest.raises(ValueError):
         witness_search(11, 11, strategy="exhaustive", budget=DEEP_GATE + 1)
 
@@ -291,7 +288,7 @@ def test_witness_search_subgroup_strategy():
     for (p, m), (order, tau) in SUBGROUP_WITNESSES.items():
         out = witness_search(p, m, strategy="subgroup")
         assert out.status == "witness", (p, m)
-        assert (out.pairs_tested, out.indeterminate) == (2, 0)
+        assert out.pairs_tested == 2
         w = out.witness
         assert format_cycles(w.tau) == tau
         assert w.subgroup_order == order
@@ -304,40 +301,7 @@ def test_witness_search_subgroup_strategy():
         assert (out.status, out.pairs_tested, out.witness) == ("exhausted", budget, None)
     for p, m in ((5, 6), (7, 7), (11, 11)):
         out = witness_search(p, m, strategy="subgroup")
-        assert (out.status, out.pairs_tested, out.indeterminate) == ("exhausted", 0, 0)
-
-
-def test_type_d_pair_capped_search_is_indeterminate(monkeypatch):
-    from rackforge import groups, rack
-
-    w = witness_search(13, 13, strategy="subgroup").witness
-    capped = functools.partial(groups.conjugacy_orbit_contains, cap=1)
-    monkeypatch.setattr(rack, "conjugacy_orbit_contains", capped)
-    result = type_d_pair(w.sigma, w.tau)
-    assert result.verdict == "Indeterminate"
-    assert result.witness is None
-    assert result.subgroup_order == 5616
-
-
-def test_witness_search_indeterminate_blocks_absence(monkeypatch):
-    from rackforge import classify
-    from rackforge.rack import TypeDResult
-
-    undecided = []
-
-    def one_undecided(sigma, tau, **kwargs):
-        if not undecided:
-            undecided.append(tau)
-            return TypeDResult("Indeterminate", "capped for the test")
-        return type_d_pair(sigma, tau, **kwargs)
-
-    monkeypatch.setattr(classify, "type_d_pair", one_undecided)
-    out = witness_search(5, 5, strategy="exhaustive")
-    assert len(undecided) == 1
-    assert out.status == "exhausted"
-    assert out.pairs_tested == 12
-    assert out.indeterminate == 1
-    assert out.witness is None
+        assert (out.status, out.pairs_tested) == ("exhausted", 0)
 
 
 def test_witness_search_random_strategy():

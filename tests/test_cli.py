@@ -83,6 +83,7 @@ def test_witness_exit_codes(capsys):
     assert code == 0
     assert report["result"]["status"] == "absence"
     assert report["result"]["pairs_tested"] == 12
+    assert report["result"]["indeterminate"] == 0
 
 
 def test_negative_budget_is_a_domain_error(capsys):
@@ -237,6 +238,11 @@ def _tampered(entry, path, value):
         [(("witness", "subgroup_order"), 56.0)],
         [(("extra",), "planted")],
         [(("witness", "note"), "planted")],
+        # a witness is found by testing at least one pair
+        [(("pairs_tested",), 0)],
+        # equal to 0 in Python, so only the dumps comparison rejects them
+        [(("indeterminate",), False)],
+        [(("indeterminate",), 0.0)],
     ],
 )
 def test_witness_cache_rejects_an_entry_that_does_not_fit_the_request(tmp_path, capsys, changes):

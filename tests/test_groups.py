@@ -132,12 +132,6 @@ def test_conjugacy_class_list_members_are_conjugate():
         assert conjugacy_orbit_contains(a6, x, y).answer == "yes"
 
 
-def test_conjugacy_class_list_cap():
-    a8 = alternating_group(8)
-    with pytest.raises(ValueError):
-        conjugacy_class_list(a8, Permutation.cycle([1, 2, 3], 8), cap=10)
-
-
 def test_conjugacy_orbit_answers():
     a5 = alternating_group(5)
     x = Permutation.cycle([1, 2, 3, 4, 5], 5)
@@ -148,23 +142,9 @@ def test_conjugacy_orbit_answers():
     assert conjugacy_orbit_contains(a5, x, conjugate(Permutation.cycle([1, 2, 3], 5), x)).answer == "yes"
 
 
-def test_conjugacy_orbit_cap_reports_capped():
-    # inside a proper subgroup the search must enumerate, so a tiny cap trips
-    gens = [
-        Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7),
-        parse_cycles("(2 4 3 7 5 6)", 7),
-    ]
-    g = build_bsgs(gens)
-    x = Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7)
-    probe = conjugacy_orbit_contains(g, x, Permutation.identity(7), cap=2)
-    assert probe.answer in ("no", "capped")
-    if probe.answer == "capped":
-        assert probe.visited > 2
-
-
-def test_conjugacy_orbit_cap_counts_are_pinned():
-    # the start element never counts against the cap, and a target met one
-    # past the cap is still found
+def test_conjugacy_orbit_counts_are_pinned():
+    # inside a proper subgroup the search enumerates the orbit: a target is
+    # met at its place in BFS discovery order, and a miss visits all of it
     gens = [
         Permutation.cycle([1, 2, 3, 4, 5, 6, 7], 7),
         parse_cycles("(2 4 3 7 5 6)", 7),
@@ -181,22 +161,10 @@ def test_conjugacy_orbit_cap_counts_are_pinned():
         "(1 6 4 2 7 5 3)",
     ]
     targets = cls + [Permutation.identity(7)]
-    expected = {
-        0: [("yes", 1), ("yes", 2)] + [("capped", 2)] * 5,
-        1: [("yes", 1), ("yes", 2)] + [("capped", 2)] * 5,
-        2: [("yes", 1), ("yes", 2), ("yes", 3)] + [("capped", 3)] * 4,
-        5: [("yes", k) for k in range(1, 7)] + [("capped", 6)],
-        6: [("yes", k) for k in range(1, 7)] + [("no", 6)],
-    }
-    for cap, answers in expected.items():
-        probes = [conjugacy_orbit_contains(g, x, t, cap=cap) for t in targets]
-        assert [(p.answer, p.visited) for p in probes] == answers, cap
+    probes = [conjugacy_orbit_contains(g, x, t) for t in targets]
+    assert [(p.answer, p.visited) for p in probes] == [("yes", k) for k in range(1, 7)] + [("no", 6)]
     identity = Permutation.identity(7)
-    assert conjugacy_class_list(g, identity, cap=0) == [identity]
-    assert conjugacy_class_list(g, x, cap=6) == cls
-    for cap in (0, 1, 5):
-        with pytest.raises(ValueError):
-            conjugacy_class_list(g, x, cap=cap)
+    assert conjugacy_class_list(g, identity) == [identity]
 
 
 def _tuple_compose(a, b):
@@ -423,7 +391,7 @@ def test_aligning_conjugators_first_element_is_pinned():
 def test_coset_route_matches_the_bfs_orbit_oracle():
     # x from every order-p class and random elements; targets inside and
     # outside the orbit. The coset route answers (visited 0) exactly when
-    # |C|^2 <= |H| and |C| <= cap, and agrees with the BFS oracle always
+    # |C|^2 <= |H|, and agrees with the BFS oracle always
     rng = random.Random(73)
     routes = Counter()
     for group, p in (
@@ -439,15 +407,11 @@ def test_coset_route_matches_the_bfs_orbit_oracle():
             inside = [conjugate(group.sample(rng), x) for _ in range(3)]
             outside = [y for y in (group.sample(rng) for _ in range(6)) if y.images not in orbit]
             outside += [y for y in order_p_class_reps(group, p) if y.images not in orbit]
-            for cap in (10_000_000, c, c - 1):
-                for target in inside + outside:
-                    probe = conjugacy_orbit_contains(group, x, target, cap=cap)
-                    coset = c * c <= group.order and c <= cap
-                    if probe.answer != "capped":
-                        expected = target.images in orbit
-                        assert probe.answer == ("yes" if expected else "no")
-                        routes[coset, expected] += 1
-                    else:
-                        assert not coset
-                    assert (probe.visited == 0) == coset
+            for target in inside + outside:
+                probe = conjugacy_orbit_contains(group, x, target)
+                coset = c * c <= group.order
+                expected = target.images in orbit
+                assert probe.answer == ("yes" if expected else "no")
+                assert (probe.visited == 0) == coset
+                routes[coset, expected] += 1
     assert set(routes) == {(True, True), (True, False), (False, True), (False, False)}
