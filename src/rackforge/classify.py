@@ -37,7 +37,7 @@ from .groups import (
     pair_subgroup,
 )
 from .numth import cyclotomic_decompositions, is_prime, prime_power_decompose
-from .perm import Permutation, _conj, conjugate
+from .perm import Permutation, _conjugator, conjugate
 from .rack import TypeDWitness, type_d_pair
 
 __all__ = [
@@ -311,19 +311,22 @@ def _subgroup_partners(p, m, seed):
             g = next(_aligning_conjugators(first, nat), None)
             if g is None or conjugate(g, first) != nat:
                 raise AssertionError("alignment failed to produce the standard cycle")
+            carry = _conjugator(g.images)
             for j, second in enumerate(reps):
                 if i == j or not alternating_conjugate(first, second, m):
                     continue
                 for z in _conjugates(group, second.images):
-                    yield Permutation._of(_conj(g.images, z))
+                    yield Permutation._of(carry(z))
 
 
 def _candidate_subgroups(p, m, seed):
     """Groups searched by the subgroup strategy, all at degree m."""
     for r, k in cyclotomic_decompositions(p):
-        group = psl_permutation_group(k, r)
-        gens = [g.extend(m) for g in group.generators]
-        yield build_bsgs(gens, degree=m)
+        group = psl_permutation_group(k, r)  # on its p projective points
+        if m == p:
+            yield group
+        else:
+            yield build_bsgs([g.extend(m) for g in group.generators], degree=m)
     if m == p + 1:
         two_power = prime_power_decompose(m)
         if two_power is not None and two_power[0] == 2:

@@ -88,15 +88,19 @@ def _is_irreducible(poly, s):
 
 
 class FieldSpec:
-    """GF(s^a) with a fixed modulus; owns all arithmetic on element codes."""
+    """GF(s^a) with a fixed modulus; owns all arithmetic on element codes.
 
-    __slots__ = ("s", "a", "q", "modulus")
+    Each product is computed once per field object and then read from a
+    memo of at most q^2 entries."""
+
+    __slots__ = ("s", "a", "q", "modulus", "_products")
 
     def __init__(self, s, a, modulus):
         self.s = s
         self.a = a
         self.q = s**a
         self.modulus = modulus
+        self._products = {}
 
     def __repr__(self):
         return "FieldSpec(GF(%d), modulus=%s)" % (self.q, self.modulus_string())
@@ -125,9 +129,12 @@ class FieldSpec:
         return out
 
     def mul(self, u, v):
-        s, a = self.s, self.a
-        product = _poly_mul(_decode(u, s, a), _decode(v, s, a), s)
-        return _encode(_poly_mod(product, self.modulus, s), s)
+        product = self._products.get((u, v))
+        if product is None:
+            s, a = self.s, self.a
+            poly = _poly_mul(_decode(u, s, a), _decode(v, s, a), s)
+            product = self._products[(u, v)] = _encode(_poly_mod(poly, self.modulus, s), s)
+        return product
 
     def pow(self, u, n):
         if n < 0:
@@ -174,6 +181,7 @@ def make_field(q):
 
 
 def _factor(n):
+    """The distinct prime factors of n, increasing, by trial division."""
     out = []
     d = 2
     while d * d <= n:

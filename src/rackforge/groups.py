@@ -26,7 +26,7 @@ from itertools import groupby, permutations, product
 from math import factorial
 
 from .numth import is_prime
-from .perm import Permutation, _compose, _conj, _inverse
+from .perm import Permutation, _compose, _conjugator, _inverse
 
 __all__ = [
     "PermGroup",
@@ -313,15 +313,15 @@ class OrbitProbe:
 def _conjugates(group, x):
     """Image tuples of the conjugates of x under the group, x first, then
     breadth-first by generator conjugation in discovery order."""
-    gens = [g.images for g in group.generators]
+    conjugators = [_conjugator(g.images) for g in group.generators]
     seen = {x}
     frontier = [x]
     yield x
     while frontier:
         next_frontier = []
         for y in frontier:
-            for g in gens:
-                z = _conj(g, y)
+            for conj in conjugators:
+                z = conj(y)
                 if z not in seen:
                     seen.add(z)
                     yield z

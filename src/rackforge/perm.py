@@ -2,10 +2,10 @@
 
 This module is the package's one permutation kernel. Permutations are
 stored as 0-based image tuples, and only the private functions `_compose`,
-`_inverse` and `_conj` combine them; groups and racks call those on
-`Permutation.images` in their inner loops. Every public surface (cycle
-strings, JSON, point sets) speaks 1-based points. Composition is function
-composition, compose(a, b) applies b first.
+`_inverse`, `_conj` and `_conjugator` combine them; groups and racks call
+those on `Permutation.images` in their inner loops. Every public surface
+(cycle strings, JSON, point sets) speaks 1-based points. Composition is
+function composition, compose(a, b) applies b first.
 
 `Permutation(...)`, `cycle`, `parse_cycles`, `restricted_to` and
 `from_json_dict` check that their input is a bijection. Results that are
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
+from operator import itemgetter
 
 __all__ = [
     "Permutation",
@@ -219,6 +220,17 @@ def _conj(g, x):
     for i in range(len(g)):
         images[g[i]] = g[x[i]]
     return tuple(images)
+
+
+def _conjugator(g):
+    """The map x -> g x g^-1 on image tuples for a fixed g, for walks that
+    conjugate many x by the same g: g^-1 is taken once, and each call is two
+    itemgetter passes, y = x(g^-1(i)) and then g(y(i)). One-shot
+    conjugations use `_conj`."""
+    if len(g) == 1:
+        return lambda x: x  # itemgetter of one index returns a scalar
+    take = itemgetter(*_inverse(g))
+    return lambda x: itemgetter(*take(x))(g)
 
 
 def compose(a, b):

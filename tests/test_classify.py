@@ -346,17 +346,69 @@ def test_subgroup_partners_walk_the_class_lazily(monkeypatch):
     from rackforge import groups
 
     calls = []
-    original = groups._conj
+    original = groups._conjugator
 
-    def counted(g, x):
-        calls.append(x)
-        return original(g, x)
+    def counted(g):
+        conj = original(g)
 
-    monkeypatch.setattr(groups, "_conj", counted)
+        def call(x):
+            calls.append(x)
+            return conj(x)
+
+        return call
+
+    monkeypatch.setattr(groups, "_conjugator", counted)
     out = witness_search(13, 13, strategy="subgroup")
     assert out.status == "witness"
     assert out.pairs_tested == 2
     assert 0 < len(calls) < psl_order(3, 3) // 13
+
+
+def test_candidate_subgroups_at_degree_p_are_the_linear_groups_as_built(monkeypatch):
+    # at m = p the linear group already acts on the p points: one chain per
+    # group, equal to a fresh build of its generators
+    from rackforge import classify, constructions
+    from rackforge.classify import _candidate_subgroups
+
+    builds = []
+    original = build_bsgs
+
+    def counted(gens, degree=None):
+        builds.append(degree)
+        return original(gens, degree=degree)
+
+    monkeypatch.setattr(constructions, "build_bsgs", counted)
+    monkeypatch.setattr(classify, "build_bsgs", counted)
+    for p in (13, 31):
+        builds.clear()
+        found = list(_candidate_subgroups(p, p, seed=0))
+        assert len(builds) == len(found) == len(cyclotomic_decompositions(p))
+        for group in found:
+            fresh = original(group.generators, degree=p)
+            assert (group.degree, group.base, group.order) == (p, fresh.base, fresh.order)
+
+
+def test_subgroup_witness_for_every_type_d_class_up_to_p_307():
+    # each type-D class with p <= 307 is witnessed inside PSL_k(r) for a
+    # decomposition p = (r^k - 1)/(r - 1), or inside the Frobenius group of
+    # order m(m - 1) = m p when m = p + 1 is a power of two
+    classes = [
+        (p, m)
+        for p in primes_below(308)
+        if p >= 5
+        for m in (p, p + 1)
+        if classify_class(p, m).verdict == "TypeD"
+    ]
+    assert len(classes) == 15
+    for p, m in classes:
+        out = witness_search(p, m, strategy="subgroup")
+        assert out.status == "witness", (p, m)
+        assert out.witness.verify()
+        orders = {psl_order(k, r) for r, k in cyclotomic_decompositions(p)}
+        two_power = prime_power_decompose(m)
+        if m == p + 1 and two_power is not None and two_power[0] == 2:
+            orders.add(m * p)
+        assert out.witness.subgroup_order in orders, (p, m)
 
 
 def test_witness_search_rejects_unknown_strategy():

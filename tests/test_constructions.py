@@ -245,6 +245,26 @@ def test_order_p_class_reps_power_classes_are_cosets():
         )
 
 
+def test_order_p_class_reps_decides_h_prime_by_prime(monkeypatch):
+    # |H| is found from the prime powers of p - 1: at most Omega(p - 1)
+    # conjugacy tests, 3 at p = 13 and 4 at p = 17, not p - 1
+    from rackforge import constructions
+
+    calls = []
+    original = constructions.conjugacy_orbit_contains
+
+    def counted(group, x, target):
+        calls.append(target)
+        return original(group, x, target)
+
+    monkeypatch.setattr(constructions, "conjugacy_orbit_contains", counted)
+    for k, r, p in ((3, 3, 13), (2, 16, 17)):
+        calls.clear()
+        reps = order_p_class_reps(psl_permutation_group(k, r), p)
+        assert 0 < len(calls) <= 5
+        assert len(reps) > 1
+
+
 def test_order_p_class_reps_uses_the_closed_form_on_natural_groups(monkeypatch):
     # A_13 has 239,500,800 elements and a 13-cycle class of 23,950,080:
     # any class walk here is a regression. Every walk, in the class list

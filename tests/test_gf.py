@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rackforge.gf import make_field, primitive_element
+from rackforge.gf import _decode, _encode, _poly_mod, _poly_mul, make_field, primitive_element
 
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
@@ -25,6 +25,18 @@ def test_field_has_q_distinct_elements():
             assert {field.add(a, b) for b in range(q)} == codes
             if a:
                 assert {field.mul(a, b) for b in range(q)} == codes
+
+
+def test_memoised_products_equal_the_polynomial_product():
+    # every product is read twice, the second time from the field's memo
+    for q in (4, 8, 9, 16, 25, 27):
+        field = make_field(q)
+        s, a = field.s, field.a
+        for _ in range(2):
+            for u in range(q):
+                for v in range(q):
+                    direct = _poly_mod(_poly_mul(_decode(u, s, a), _decode(v, s, a), s), field.modulus, s)
+                    assert field.mul(u, v) == _encode(direct, s)
 
 
 def test_known_moduli():

@@ -167,6 +167,19 @@ def test_conjugacy_orbit_counts_are_pinned():
     assert conjugacy_class_list(g, identity) == [identity]
 
 
+def test_conjugacy_class_list_at_degrees_one_and_two():
+    # the walk conjugates with itemgetter, which returns a scalar, not a
+    # tuple, when given one index
+    e1 = Permutation.identity(1)
+    assert conjugacy_class_list(build_bsgs([e1]), e1) == [e1]
+    swap = Permutation.cycle([1, 2], 2)
+    e2 = Permutation.identity(2)
+    s2 = build_bsgs([swap])
+    assert conjugacy_class_list(s2, swap) == [swap]
+    assert conjugacy_class_list(s2, e2) == [e2]
+    assert conjugacy_class_list(build_bsgs([e2]), swap) == [swap]
+
+
 def _tuple_compose(a, b):
     return tuple(a[b[i]] for i in range(len(b)))
 
