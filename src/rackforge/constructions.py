@@ -140,7 +140,7 @@ def order_p_class_reps(G, p, seed=0):
     increasing order.
 
     (Z/p)^* is cyclic, so H is its unique subgroup of order d = |H|, and
-    with g a primitive root mod p, the element g^((p-1)/q^c) of order q^c
+    with root a primitive root mod p, the element root^((p-1)/q^c) of order q^c
     lies in H exactly when q^c divides d. So d, and with it H, is decided
     prime by prime: for each prime q dividing p - 1, test c = 1, 2, ...
     while q^c divides p - 1, and stop at the first failure. That is at most
@@ -169,17 +169,17 @@ def order_p_class_reps(G, p, seed=0):
     if x is None:
         raise ValueError("no order-%d element found in %d samples" % (p, attempts))
 
-    g = primitive_element(make_field(p))
+    root = primitive_element(make_field(p))
     d = 1
     for q in _factor(p - 1):
         c = 1
         while (p - 1) % q**c == 0:
-            e = pow(g, (p - 1) // q**c, p)
+            e = pow(root, (p - 1) // q**c, p)
             if conjugacy_orbit_contains(G, x, x**e).answer != "yes":
                 break
             d *= q
             c += 1
-    h = [pow(g, (p - 1) // d * j, p) for j in range(d)]
+    h = [pow(root, (p - 1) // d * j, p) for j in range(d)]
     reps = []
     covered = set()
     for l in range(1, p):

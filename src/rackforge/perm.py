@@ -2,8 +2,8 @@
 
 This module is the package's one permutation kernel. Permutations are
 stored as 0-based image tuples, and only the private functions `_compose`,
-`_inverse`, `_conj` and `_conjugator` combine them; groups and racks call
-those on `Permutation.images` in their inner loops. Every public surface
+`_inverse` and `_conjugator` combine them; groups and racks call those on
+`Permutation.images` in their inner loops. Every public surface
 (cycle strings, JSON, point sets) speaks 1-based points. Composition is
 function composition, compose(a, b) applies b first.
 
@@ -214,19 +214,11 @@ def _inverse(a):
     return tuple(inv)
 
 
-def _conj(g, x):
-    """g x g^-1 on image tuples: it maps g(i) to g(x(i))."""
-    images = [0] * len(g)
-    for i in range(len(g)):
-        images[g[i]] = g[x[i]]
-    return tuple(images)
-
-
 def _conjugator(g):
-    """The map x -> g x g^-1 on image tuples for a fixed g, for walks that
-    conjugate many x by the same g: g^-1 is taken once, and each call is two
-    itemgetter passes, y = x(g^-1(i)) and then g(y(i)). One-shot
-    conjugations use `_conj`."""
+    """The map x -> g x g^-1 on image tuples for a fixed g: it sends g(i) to
+    g(x(i)). g^-1 is taken once, so a walk that conjugates many x by the same
+    g builds this once; each call is two itemgetter passes, y = x(g^-1(i))
+    and then g(y(i))."""
     if len(g) == 1:
         return lambda x: x  # itemgetter of one index returns a scalar
     take = itemgetter(*_inverse(g))
@@ -244,7 +236,7 @@ def conjugate(g, x):
     """g acting on x by conjugation, g x g^-1."""
     if g.degree != x.degree:
         raise ValueError("degree mismatch: %d vs %d" % (g.degree, x.degree))
-    return Permutation._of(_conj(g.images, x.images))
+    return Permutation._of(_conjugator(g.images)(x.images))
 
 
 _TOKEN = re.compile(r"\(|\)|,|\s+|\d+")

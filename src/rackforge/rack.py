@@ -15,7 +15,7 @@ from typing import Optional
 
 from .constructions import class_elements
 from .groups import conjugacy_orbit_contains, pair_subgroup
-from .perm import Permutation, _compose, _conj, format_cycles
+from .perm import Permutation, _compose, _conjugator, format_cycles
 
 __all__ = [
     "FiniteRack",
@@ -151,9 +151,10 @@ def conjugation_rack(perms):
         raise ValueError("elements must be distinct")
     rows = []
     for g in elems:
+        conj = _conjugator(g.images)
         row = []
         for h in elems:
-            ki = index.get(_conj(g.images, h.images))
+            ki = index.get(conj(h.images))
             if ki is None:
                 raise ValueError(
                     "not closed under conjugation: %s maps %s outside the set"

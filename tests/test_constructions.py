@@ -246,23 +246,27 @@ def test_order_p_class_reps_power_classes_are_cosets():
 
 
 def test_order_p_class_reps_decides_h_prime_by_prime(monkeypatch):
-    # |H| is found from the prime powers of p - 1: at most Omega(p - 1)
-    # conjugacy tests, 3 at p = 13 and 4 at p = 17, not p - 1
+    # |H| is found from the prime powers of p - 1, stopping at the first
+    # failure for each prime: at most Omega(p - 1) conjugacy tests (3 at
+    # p = 13, 4 at p = 17), not p - 1. L_3(3) has |H| = 3: x ~ x^-1 fails,
+    # then the order-3 test passes and 9 does not divide 12. L_2(16) has
+    # |H| = 2: x ~ x^-1 passes, then the order-4 test fails.
     from rackforge import constructions
 
-    calls = []
+    answers = []
     original = constructions.conjugacy_orbit_contains
 
     def counted(group, x, target):
-        calls.append(target)
-        return original(group, x, target)
+        probe = original(group, x, target)
+        answers.append(probe.answer)
+        return probe
 
     monkeypatch.setattr(constructions, "conjugacy_orbit_contains", counted)
+    expected = {13: (["no", "yes"], 4), 17: (["yes", "no"], 8)}
     for k, r, p in ((3, 3, 13), (2, 16, 17)):
-        calls.clear()
+        answers.clear()
         reps = order_p_class_reps(psl_permutation_group(k, r), p)
-        assert 0 < len(calls) <= 5
-        assert len(reps) > 1
+        assert (answers, len(reps)) == expected[p]
 
 
 def test_order_p_class_reps_uses_the_closed_form_on_natural_groups(monkeypatch):
