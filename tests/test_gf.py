@@ -39,6 +39,22 @@ def test_memoised_products_equal_the_polynomial_product():
                     assert field.mul(u, v) == _encode(direct, s)
 
 
+def test_memoised_inverses_invert_by_the_polynomial_product():
+    # every inverse is read twice, the second time from the field's memo,
+    # and checked by a product that does not go through the field
+    for q in (4, 7, 8, 9, 16, 25, 27):
+        field = make_field(q)
+        s, a = field.s, field.a
+        for _ in range(2):
+            for u in range(1, q):
+                v = field.inv(u)
+                product = _poly_mod(_poly_mul(_decode(u, s, a), _decode(v, s, a), s), field.modulus, s)
+                assert _encode(product, s) == 1
+        assert sorted(field._inverses) == list(range(1, q))
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
+
+
 def test_known_moduli():
     assert make_field(8).modulus_string() == "x^3 + x + 1"
     assert make_field(4).modulus_string() == "x^2 + x + 1"
