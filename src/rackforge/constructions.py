@@ -147,8 +147,10 @@ def order_p_class_reps(G, p, seed=0):
     Omega(p - 1) conjugacy tests x ~ x^e (prime factors counted with
     multiplicity; 4 at p = 307, 6 at p = 757), not p - 1. Each test is in
     closed form when G is the full alternating group on the points it
-    moves, else a sift of the |C(x)| conjugators of x onto x^e when
-    |C(x)|^2 <= |G|, else an orbit search.
+    moves, else, when |C(x)|^2 <= |G|, a sift of x and of the conjugators
+    of x onto x^e that conjugacy_orbit_contains keeps, at least one from
+    each coset of <x> (one for a p-cycle on p or p + 1 points), else an
+    orbit search.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")

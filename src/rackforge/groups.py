@@ -3,9 +3,24 @@
 The engine computes a base and strong generating set with exact big-integer
 orders, sifting membership tests, uniform random sampling through the
 stabilizer-chain transversals, and conjugacy tests that sift the coset of
-conjugators when it is small and otherwise run a breadth-first orbit search
-to its end. Base points are chosen deterministically (smallest moved point
-first), so identical generator lists always produce identical chains.
+conjugators when it is small (one candidate per coset of <x> when x lies
+in the group) and otherwise run a breadth-first orbit search to its end.
+Base points are chosen deterministically (smallest moved point first), so
+identical generator lists always produce identical chains.
+
+Schreier-Sims skips the Schreier generators whose sift it already knows
+(Seress, Permutation Group Algorithms, 2003, Sec. 4.2), and every level
+keeps exactly the point, orbit order, transversal, inverse transversal and
+strong generators the plain loop gives:
+
+- a tree edge (s, beta), one that set u_{s(beta)} = s u_beta, gives the
+  identity, so it is not composed;
+- a Schreier generator that sifted to the identity earlier in the same
+  build is not sifted again: transversal entries are never replaced and
+  levels are only appended, so its sift reaches the identity again.
+  Generators that left a residue sift afresh;
+- a new inverse transversal entry is u_beta^-1 s^-1, with s^-1 taken once
+  per strong generator, not a fresh inverse at every orbit point.
 
 pair_subgroup recognises two families without a chain, both by Jordan's
 prime-cycle theorem (a primitive group of degree u holding a cycle of prime
@@ -176,7 +191,9 @@ class _Builder:
         self.identity = tuple(range(degree))
         self.levels = []
         self.input_gens = gens
-        self.next_gid = 0
+        self.inverses = []           # inverse of each strong generator; its index is its gid
+        self.tree = {}               # (level index, gid) -> betas whose edge set a transversal entry
+        self.trivial = {self.identity}  # Schreier generators known to sift to the identity
 
     def run(self):
         for g in self.input_gens:
@@ -203,8 +220,8 @@ class _Builder:
             depth += 1
         if depth == len(self.levels):
             self.levels.append(_Level(_smallest_moved(g), self.identity))
-        self.levels[depth].gens.append((self.next_gid, g))
-        self.next_gid += 1
+        self.levels[depth].gens.append((len(self.inverses), g))
+        self.inverses.append(_inverse(g))
         for level in self.levels[: depth + 1]:
             level.dirty = True
         return depth
@@ -218,34 +235,50 @@ class _Builder:
         return out
 
     def _extend_orbit(self, idx):
+        """Close the orbit under the strong generators, breadth first. A new
+        point gamma = s(beta) gets u_gamma = s u_beta and its inverse
+        u_beta^-1 s^-1, and (gid of s, beta) is recorded as a tree edge."""
         level = self.levels[idx]
-        gens = [g for _, g in self._gens_at(idx)]
+        gens = self._gens_at(idx)
         frontier = list(level.orbit)
         while frontier:
             next_frontier = []
             for beta in frontier:
                 rep = level.transversal[beta]
-                for s in gens:
+                rep_inv = level.inv_transversal[beta]
+                for gid, s in gens:
                     gamma = s[beta]
                     if gamma not in level.transversal:
-                        new_rep = _compose(s, rep)
-                        level.transversal[gamma] = new_rep
-                        level.inv_transversal[gamma] = _inverse(new_rep)
+                        level.transversal[gamma] = _compose(s, rep)
+                        level.inv_transversal[gamma] = _compose(rep_inv, self.inverses[gid])
                         level.orbit.append(gamma)
                         next_frontier.append(gamma)
+                        self.tree.setdefault((idx, gid), set()).add(beta)
             frontier = next_frontier
         level.dirty = False
 
     def _check_level(self, idx):
-        """Sift every unprocessed Schreier generator of level idx. Returns the
-        level index where a residue was inserted, or None when the level is
-        verified complete (given deeper levels complete).
+        """Sift every unprocessed Schreier generator u_{s(beta)}^-1 s u_beta
+        of level idx. Returns the level index where a residue was inserted,
+        or None when the level is verified complete (given deeper levels
+        complete).
 
         A Schreier generator whose sift leaves a residue counts as handled
         once the residue joins the strong set: it then factors through the
         deeper transversals and the new generator by construction.
+
+        Two kinds are skipped without changing any level:
+
+        - a tree edge (s, beta), one that defined u_{s(beta)} = s u_beta in
+          _extend_orbit, gives the identity, so it is not even composed;
+        - a generator in self.trivial, which sifted to the identity earlier
+          in this build, is not sifted again. Transversal entries are never
+          replaced and levels are only appended, so its sift takes the same
+          path to the identity as before. Generators that left a residue
+          are not kept there, and sift afresh.
         """
         level = self.levels[idx]
+        trivial = self.trivial
         while True:
             if level.dirty:
                 self._extend_orbit(idx)
@@ -256,19 +289,22 @@ class _Builder:
                 if start >= orbit_len:
                     continue
                 advanced = True
+                tree = self.tree.get((idx, gid), ())
                 for pos in range(start, orbit_len):
                     beta = level.orbit[pos]
-                    gamma = s[beta]
+                    if beta in tree:
+                        continue
                     schreier = _compose(
-                        level.inv_transversal[gamma],
+                        level.inv_transversal[s[beta]],
                         _compose(s, level.transversal[beta]),
                     )
-                    if schreier == self.identity:
+                    if schreier in trivial:
                         continue
                     residue = _sift(self.levels, schreier, idx + 1)
                     if residue != self.identity:
                         level.progress[gid] = pos + 1
                         return self._place(residue)
+                    trivial.add(schreier)
                 level.progress[gid] = orbit_len
             if not advanced:
                 return None
@@ -445,8 +481,18 @@ def conjugacy_orbit_contains(group, x, target):
     answer is decided without enumerating the orbit, again with visited = 0:
     the g with g x g^-1 = target form one coset g0 C, so target is an
     H-conjugate of x exactly when one of its |C| elements sifts into H. The
-    orbit has |H|/|C_H(x)| >= |H|/|C| >= |C| elements, so this never tests
-    more candidates than a full search visits.
+    orbit has |H|/|C_H(x)| >= |H|/|C| >= |C| elements, so the whole coset
+    is never more candidates than a full search visits.
+
+    When x lies in H (x is a generator, or one sift shows it), <x> <= C
+    and g lies in H exactly when g x^j does, so H-membership is constant
+    on each coset g<x> inside g0 C. Right multiplication by x^j rotates by
+    j the pairing of every cycle of x with its cycle of target, so each
+    coset g<x> holds an element that leaves x's first longest cycle, of
+    length L, unrotated. Only those |C|/L candidates are sifted, at most
+    |C|/L + 1 sifts with the one for x: for the p-cycles that type_d_pair
+    and order_p_class_reps ask about at m = p or p + 1, |C| = L = p, so
+    one candidate. When x is outside H the whole coset is sifted.
 
     Every other case is a breadth-first search of {g x g^-1} by generator
     conjugation, which visits at most the |H|/|C_H(x)| conjugates of x, so
@@ -467,7 +513,8 @@ def conjugacy_orbit_contains(group, x, target):
         return OrbitProbe("yes" if same else "no", 0)
     coset = _centralizer_order(x)
     if coset * coset <= group.order:
-        same = any(group.contains(g) for g in _aligning_conjugators(x, target))
+        unrotated = x in group.generators or group.contains(x)
+        same = any(group.contains(g) for g in _aligning_conjugators(x, target, unrotated))
         return OrbitProbe("yes" if same else "no", 0)
     goal = target.images
     visited = 0
@@ -519,7 +566,7 @@ def _centralizer_order(x):
     return order
 
 
-def _aligning_conjugators(sigma, tau):
+def _aligning_conjugators(sigma, tau, unrotated=False):
     """Every g with g sigma g^-1 = tau, each once: the coset g0 C(sigma),
     |C(sigma)| elements, and nothing when the cycle types differ.
 
@@ -528,6 +575,11 @@ def _aligning_conjugators(sigma, tau):
     rotation. The first element pairs the sorted lists in order without
     rotation; its parity is not fixed, and alternating_conjugate reads it
     to tell the two halves of a split class apart.
+
+    With unrotated, only the elements that match sigma's first longest
+    cycle without rotation are yielded, |C(sigma)|/L of them for that
+    cycle's length L, in the same order; g sigma^j rotates every match of g
+    by j, so each coset g<sigma> holds at least one of them.
     """
     c_sigma = sorted(sigma.cycles(include_fixed=True), key=lambda c: (len(c), c))
     c_tau = sorted(tau.cycles(include_fixed=True), key=lambda c: (len(c), c))
@@ -547,8 +599,11 @@ def _aligning_conjugators(sigma, tau):
             return
         sources, targets = blocks[level]
         k = len(sources[0])
+        rotations = [range(k)] * len(sources)
+        if unrotated and level == len(blocks) - 1:
+            rotations[0] = (0,)
         for pairing in permutations(targets):
-            for shifts in product(range(k), repeat=len(sources)):
+            for shifts in product(*rotations):
                 for cs, ct, r in zip(sources, pairing, shifts):
                     for a, b in zip(cs, ct[r:] + ct[:r]):
                         images[a - 1] = b - 1

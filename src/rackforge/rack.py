@@ -305,7 +305,9 @@ def type_d_pair(sigma, tau):
     question is decided by conjugacy_orbit_contains without enumerating the
     orbit when the generated subgroup is the full alternating group on its
     moved points, or, when sigma's centralizer C in Sym(n) has
-    |C|^2 <= |H|, by sifting the |C| conjugators of sigma onto tau into H;
+    |C|^2 <= |H|, by sifting into H the conjugators of sigma onto tau
+    that conjugacy_orbit_contains keeps, at least one from each coset of
+    <sigma> (one in all for a p-cycle at m = p or p + 1);
     otherwise by an orbit search run to its end. Every pair gets one of the
     three verdicts.
     """

@@ -1,14 +1,24 @@
 import functools
+import hashlib
 import math
 import random
 from collections import Counter
+from itertools import islice, product
 from itertools import permutations as all_perms
 
 import pytest
 
-from rackforge.constructions import affine_frobenius_group, order_p_class_reps, psl_permutation_group
+from rackforge.constructions import (
+    affine_frobenius_group,
+    natural_class,
+    order_p_class_reps,
+    psl_permutation_group,
+    seeded_conjugates,
+)
 from rackforge.groups import (
+    PermGroup,
     _aligning_conjugators,
+    _jordan_certificate,
     alternating_conjugate,
     alternating_group,
     build_bsgs,
@@ -401,30 +411,130 @@ def test_aligning_conjugators_first_element_is_pinned():
     assert next(_aligning_conjugators(big, big)) == Permutation.identity(307)
 
 
-def test_coset_route_matches_the_bfs_orbit_oracle():
-    # x from every order-p class and random elements; targets inside and
-    # outside the orbit. The coset route answers (visited 0) exactly when
-    # |C|^2 <= |H|, and agrees with the BFS oracle always
+def _elements(gens):
+    """Oracle: every element of the group the image tuples gens generate,
+    by closing the identity under composition with them."""
+    identity = tuple(range(len(gens[0])))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[i] for i in g)
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        frontier = found
+    return seen
+
+
+def cycle_type(x):
+    return sorted(len(cycle) for cycle in x.cycles(include_fixed=True))
+
+
+def test_coset_route_matches_the_bfs_orbit_oracle(monkeypatch):
+    # x from every order-p class, random elements of H (many with several
+    # cycles) and random permutations outside H; targets inside and outside
+    # the orbit. The coset route answers (visited 0) exactly when
+    # |C|^2 <= |H|, and agrees with the BFS oracle always. For x in H it
+    # sifts at most |C|/L + 1 elements, L the longest cycle length of x;
+    # for x outside H a "no" sifts x and the whole coset, which is empty
+    # when the cycle types differ
+    sifts = []
+    contains = PermGroup.contains
+    monkeypatch.setattr(PermGroup, "contains", lambda self, g: sifts.append(g) or contains(self, g))
     rng = random.Random(73)
     routes = Counter()
+    ties = Counter()  # x in H with two longest cycles, answered "yes" by a sift
+    # M_11: its elements of order 5 are two 5-cycles, |C| = 50, so they
+    # take the coset route with two longest cycles
+    m11 = build_bsgs([Permutation.cycle(range(1, 12), 11), parse_cycles("(3 7 11 8)(4 10 5 6)", 11)])
+    assert m11.order == 7920
     for group, p in (
         (psl_permutation_group(3, 3), 13),
         (psl_permutation_group(2, 16), 17),
         (affine_frobenius_group(3), 7),
+        (m11, 11),
     ):
         gens = [g.images for g in group.generators]
-        xs = order_p_class_reps(group, p) + [group.sample(rng) for _ in range(6)]
+        members = _elements(gens)
+        strangers = []
+        while len(strangers) < 6:
+            images = list(range(group.degree))
+            rng.shuffle(images)
+            if tuple(images) not in members:
+                strangers.append(Permutation(images))
+        reps = order_p_class_reps(group, p)
+        xs = reps + [group.sample(rng) for _ in range(12)] + strangers
         for x in xs:
             orbit = _bfs_orbit(gens, x.images)
             c = _sym_centralizer_order(x)
+            longest = cycle_type(x)[-1]
             inside = [conjugate(group.sample(rng), x) for _ in range(3)]
-            outside = [y for y in (group.sample(rng) for _ in range(6)) if y.images not in orbit]
-            outside += [y for y in order_p_class_reps(group, p) if y.images not in orbit]
+            outside = [conjugate(random_even(group.degree, rng), x) for _ in range(6)]
+            outside = [y for y in outside if y.images not in orbit]
+            outside += [y for y in reps if y.images not in orbit]
             for target in inside + outside:
+                del sifts[:]
                 probe = conjugacy_orbit_contains(group, x, target)
                 coset = c * c <= group.order
                 expected = target.images in orbit
+                member = x.images in members
                 assert probe.answer == ("yes" if expected else "no")
                 assert (probe.visited == 0) == coset
-                routes[coset, expected] += 1
-    assert set(routes) == {(True, True), (True, False), (False, True), (False, False)}
+                if coset and member:
+                    assert len(sifts) <= c // longest + 1
+                    if longest == p >= 13:
+                        assert len(sifts) <= 2
+                elif coset and not expected:
+                    same_type = cycle_type(target) == cycle_type(x)
+                    assert len(sifts) == 1 + (c if same_type else 0)
+                routes[coset, expected, member, coset and c > longest] += 1
+                ties[coset and member and expected] += cycle_type(x).count(longest) > 1
+    for coset, expected, member in product((True, False), repeat=3):
+        assert routes[coset, expected, member, False] + routes[coset, expected, member, True]
+    assert routes[True, True, True, True] and routes[True, False, True, True]
+    assert ties[True]
+
+
+# SHA-256 over every level of the chains of _digest_groups(). Work that
+# Schreier-Sims skips must leave each chain exactly as it is: sample walks
+# these transversals and feeds seeded_conjugates and order_p_class_reps,
+# so a changed transversal would silently change witnesses.
+CHAIN_DIGEST = "9433a80c17dc41c5af68ce1e3f8479cf6de99850aaf599e80e5cbc27c8d5c0dc"
+
+
+def _digest_groups():
+    """Seeded pairs at (7,7) and (7,8), seeded (11,11) pairs that the
+    Jordan certificate leaves to a chain, PSL_3(3), PSL_2(16), PSL_3(4),
+    A_3 to A_12 and three seeded 3-generator groups at degree 10."""
+    out = []
+    for p, m, seed in ((7, 7, 1), (7, 8, 2), (11, 11, 3)):
+        sigma = natural_class(p, m).sigma
+        for tau in islice(seeded_conjugates(p, m, seed), 20 if p == 7 else 300):
+            if p == 7 or not _jordan_certificate(sigma.images, tau.images, sigma.cycles()[0]):
+                out.append(build_bsgs([sigma, tau]))
+    out += [psl_permutation_group(k, r) for k, r in ((3, 3), (2, 16), (3, 4))]
+    out += [alternating_group(m) for m in range(3, 13)]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        gens = []
+        for _ in range(3):
+            images = list(range(10))
+            rng.shuffle(images)
+            gens.append(Permutation(images))
+        out.append(build_bsgs(gens))
+    return out
+
+
+def test_chains_are_byte_identical_to_the_pinned_digest():
+    groups = _digest_groups()
+    assert len(groups) == 40 + 5 + 3 + 10 + 3  # 5 of the 300 (11,11) pairs
+    digest = hashlib.sha256()
+    for group in groups:
+        digest.update(repr((group.degree, len(group._levels))).encode())
+        for level in group._levels:
+            fields = (level.point, level.orbit, level.transversal, level.inv_transversal, level.gens)
+            digest.update(repr(fields).encode())
+    assert digest.hexdigest() == CHAIN_DIGEST
