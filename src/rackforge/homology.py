@@ -18,6 +18,12 @@ embeds in free C_1, hence is torsion free. The group H^2(X, k^x) for an
 algebraically closed field is Hom(H_2, k^x), one torus factor per free rank
 and one root-of-unity group per invariant factor.
 
+rank d2 needs no matrix. im d2 is spanned by e_y - e_(xy), so Z^n / im d2
+is the coinvariant module of the permutation module Z^n under the group
+the rows generate, which is free on its orbits. So rank d2 = n - (number
+of orbits), and `second_homology` counts the orbits by one union-find pass;
+only `boundary_matrices` builds d2.
+
 The second identity means few columns of d3 are needed. Let S be a set of
 points whose closure under the operation is the whole rack. Then the
 columns (x, y, z) with x in S span im d3. Applying d3 to d4(x, y, u, v)
@@ -31,6 +37,7 @@ instead of n^3.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
@@ -138,6 +145,25 @@ def _generating_points(table):
                         members.append(c)
                         pending.append(c)
     return chosen
+
+
+def _orbit_count(table):
+    """Orbits of the group the rows generate: one union-find pass that
+    joins y with act(x, y) for every pair (x, y)."""
+    root = list(range(len(table)))
+    orbits = len(table)
+    for row in table:
+        for y, t in enumerate(row):
+            while root[y] != y:
+                root[y] = root[root[y]]
+                y = root[y]
+            while root[t] != t:
+                root[t] = root[root[t]]
+                t = root[t]
+            if y != t:
+                root[y] = t
+                orbits -= 1
+    return orbits
 
 
 def _d2(table):
@@ -280,11 +306,11 @@ def smith_normal_form(matrix):
         entries = matrix.entries
     else:
         entries = IntegerMatrix.from_dense(matrix).entries
-    row_data = {}
-    col_rows = {}
+    row_data = defaultdict(dict)
+    col_rows = defaultdict(set)
     for (r, c), v in entries.items():
-        row_data.setdefault(r, {})[c] = v
-        col_rows.setdefault(c, set()).add(r)
+        row_data[r][c] = v
+        col_rows[c].add(r)
 
     # rows that may hold a unit, bucketed by length; a row found unit-free
     # leaves its bucket and comes back only when elimination changes it
@@ -300,38 +326,52 @@ def smith_normal_form(matrix):
         if not bucket:
             del buckets[length]
         pivot_row = row_data[r]
-        unit_cols = [c for c, v in pivot_row.items() if v == 1 or v == -1]
-        if not unit_cols:
+        # the first unit, in row order, whose column has the fewest entries
+        c = None
+        for cc, vv in pivot_row.items():
+            if (vv == 1 or vv == -1) and (c is None or len(col_rows[cc]) < fewest):
+                c = cc
+                fewest = len(col_rows[cc])
+        if c is None:
             continue
-        c = min(unit_cols, key=lambda cc: len(col_rows[cc]))
-        v = pivot_row[c]
+        v = pivot_row.pop(c)
         del row_data[r]
-        for cc in pivot_row:
-            col_rows[cc].discard(r)
-        for s in list(col_rows[c]):
+        # row s becomes row_s - row_s[c] * v * pivot_row; entry c cancels
+        # since v * v = 1, and each other column cc gains row_s[c] * w
+        update = []
+        for cc, vv in pivot_row.items():
+            rows_cc = col_rows[cc]
+            rows_cc.discard(r)
+            update.append((cc, -v * vv, rows_cc))
+        pivot_rows = col_rows.pop(c)
+        pivot_rows.discard(r)
+        for s in pivot_rows:
             row_s = row_data[s]
             old = buckets.get(len(row_s))
             if old is not None:
                 old.discard(s)
                 if not old:
                     del buckets[len(row_s)]
-            f = row_s[c] * v
-            for cc, vv in pivot_row.items():
-                nv = row_s.get(cc, 0) - f * vv
-                if nv:
-                    row_s[cc] = nv
-                    col_rows[cc].add(s)
-                elif cc in row_s:
-                    del row_s[cc]
-                    col_rows[cc].discard(s)
+            f = row_s.pop(c)
+            for cc, w, rows_cc in update:
+                nv = row_s.get(cc)
+                if nv is None:
+                    row_s[cc] = f * w
+                    rows_cc.add(s)
+                else:
+                    nv += f * w
+                    if nv:
+                        row_s[cc] = nv
+                    else:
+                        del row_s[cc]
+                        rows_cc.discard(s)
             if row_s:
                 buckets.setdefault(len(row_s), set()).add(s)
             else:
                 del row_data[s]
-        del col_rows[c]
         units += 1
 
-    factors = [1] * units
+    factors = []
     if row_data:
         live_rows = sorted(row_data)
         live_cols = sorted({c for row in row_data.values() for c in row})
@@ -340,17 +380,16 @@ def smith_normal_form(matrix):
         for i, r in enumerate(live_rows):
             for c, v in row_data[r].items():
                 core[i][col_pos[c]] = v
-        factors.extend(_dense_smith(core))
+        factors = [f for f in _dense_smith(core) if f]
 
-    factors = [f for f in factors if f]
     # diag(a, b) and diag(gcd, lcm) are equivalent, so one pairwise pass
-    # settles the divisibility chain
+    # settles the divisibility chain; the units' factors of 1 divide all
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if factors[j] % factors[i]:
                 g = gcd(factors[i], factors[j])
                 factors[i], factors[j] = g, factors[i] * factors[j] // g
-    return tuple(factors), len(factors)
+    return (1,) * units + tuple(factors), units + len(factors)
 
 
 @dataclass(frozen=True)
@@ -389,19 +428,27 @@ def second_homology(rack):
     """H_2(X, Z) as free rank and torsion chain.
 
     The table is checked as `boundary_matrices` checks it: every row a
-    bijection and self-distributivity on every triple. Then d3 is reduced
-    only on its columns (x, y, z) with x in S = `_generating_points`, which
-    span im d3. Proof: d3 . d4 = 0 applied to d4(x, y, u, v) puts column
-    (xy, xu, xv) in the span of the columns whose first point is x or y,
-    and (xu, xv) runs over every pair because the row of x is a bijection.
-    So the first points whose columns lie in the span of the S-columns are
-    closed under the operation; they contain S, hence every point.
+    bijection and self-distributivity on every triple. The free rank is
+    n^2 - rank d2 - rank d3.
+
+    rank d2 = n - (number of orbits of the group the rows generate), with
+    no d2 built. Proof: im d2 is spanned by e_y - e_(xy), so Z^n / im d2
+    is the coinvariant module of the permutation module Z^n, which is free
+    on the orbits.
+
+    d3 is reduced only on its columns (x, y, z) with x in S =
+    `_generating_points`, which span im d3. Proof: d3 . d4 = 0 applied to
+    d4(x, y, u, v) puts column (xy, xu, xv) in the span of the columns
+    whose first point is x or y, and (xu, xv) runs over every pair because
+    the row of x is a bijection. So the first points whose columns lie in
+    the span of the S-columns are closed under the operation; they contain
+    S, hence every point.
     """
     n = rack.size
     size_guard(n)
     table = rack.table
     validate_rack(table)
-    _, rank2 = smith_normal_form(_d2(table))
+    rank2 = n - _orbit_count(table)
     factors3, rank3 = smith_normal_form(_d3(table, _generating_points(table)))
     free_rank = n * n - rank2 - rank3
     torsion = tuple(d for d in factors3 if d > 1)

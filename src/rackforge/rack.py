@@ -109,8 +109,9 @@ def validate_rack(table):
 
     Checks that rows are bijections and that self-distributivity holds, in
     the translation form: the row of act(x, y) equals row_x . row_y .
-    row_x^-1, verified pairwise as act(x, act(y, z)) = act(act(x, y),
-    act(x, z)) for all z at once.
+    row_x^-1, with one `perm._conjugator` per x. Only after a mismatch are
+    act(x, act(y, z)) and act(act(x, y), act(x, z)) compared z by z, so
+    the error names the first failing triple (x, y, z).
     """
     tab = tuple(tuple(row) for row in table)
     n = len(tab)
@@ -122,10 +123,11 @@ def validate_rack(table):
             raise ValueError("row %d is not a bijection of 0..%d" % (x, n - 1))
     for x in range(n):
         tx = tab[x]
+        conjugate_by_x = _conjugator(tx)
         for y in range(n):
-            lhs = _compose(tx, tab[y])
-            rhs = _compose(tab[tx[y]], tx)
-            if lhs != rhs:
+            if tab[tx[y]] != conjugate_by_x(tab[y]):
+                lhs = _compose(tx, tab[y])
+                rhs = _compose(tab[tx[y]], tx)
                 for z in range(n):
                     if lhs[z] != rhs[z]:
                         raise ValueError(

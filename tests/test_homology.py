@@ -311,23 +311,53 @@ def test_second_homology_matches_the_full_d3():
 
 
 def test_second_homology_reduces_only_the_columns_of_generating_points(monkeypatch):
+    # one Smith form, on d3's generating-point columns; rank d2 comes from
+    # the orbit count, so d2 is neither built nor reduced
     reduced = []
     real = homology.smith_normal_form
 
     def recording(matrix):
-        reduced.append({c for _, c in matrix.entries})
+        reduced.append(matrix)
         return real(matrix)
 
+    def no_d2(table):
+        raise AssertionError("second_homology built d2")
+
     monkeypatch.setattr(homology, "smith_normal_form", recording)
+    monkeypatch.setattr(homology, "_d2", no_d2)
     rack = twentyfour_subrack()
     n = rack.size
     assert second_homology(rack).torsion == (14,)
     generators = homology._generating_points(rack.table)
     assert len(generators) == 2
-    d2_columns, d3_columns = reduced
+    (d3,) = reduced
+    assert (d3.rows, d3.cols) == (n * n, 13824)
+    d3_columns = {c for _, c in d3.entries}
     assert len(d3_columns) <= len(generators) * n * n == 1152
     assert {c // (n * n) for c in d3_columns} <= set(generators)
-    assert boundary_matrices(rack)[1].cols == 13824
+
+
+def test_rank_of_d2_is_size_minus_orbit_count():
+    # im d2 is spanned by e_y - e_(xy), so Z^n / im d2 is free on the orbits
+    # of the group the rows generate; second_homology uses this rank
+    racks = [trivial_rack(n) for n in (1, 2, 3)]
+    racks += [dihedral_quandle(n) for n in range(3, 10)]
+    racks += [FiniteRack([[(y + 1) % n for y in range(n)]] * n) for n in (2, 3, 4)]
+    racks += [alexander_quandle(n, t) for n, t in ((5, 2), (7, 3), (8, 3), (8, 5), (9, 2))]
+    racks += [permutation_rack(f) for f in ((1, 2, 3, 0), (1, 0, 3, 4, 2), (0, 2, 1))]
+    racks.append(disjoint_union(dihedral_quandle(3), dihedral_quandle(5)))
+    racks.append(conjugation_rack(three_cycles_of_a4()))
+    racks += small_conjugation_racks(8, seed=71)
+    racks += [class_rack(5, 5), class_rack(5, 6), twentyfour_subrack()]
+    orbit_counts = set()
+    for rack in racks:
+        orbits = inner_orbit_count(rack)
+        orbit_counts.add(orbits)
+        assert homology._orbit_count(rack.table) == orbits
+        # the (5,6) rack's full d3 has 72^3 columns; its d2 is all this needs
+        d2 = homology._d2(rack.table) if rack.size == 72 else boundary_matrices(rack)[0]
+        assert rack.size - orbits == smith_normal_form(d2)[1], rack.table
+    assert {1, 2, 3, 4} <= orbit_counts
 
 
 def self_distributivity_failures(table, firsts):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -36,6 +37,38 @@ def test_validate_rack_rejects_non_distributive_table():
     table = [[0, 1, 2], [1, 2, 0], [0, 1, 2]]
     with pytest.raises(ValueError):
         FiniteRack(table)
+
+
+def first_failing_triple(table):
+    """The first (x, y, z), in lexicographic order, with x(yz) != (xy)(xz)."""
+    n = len(table)
+    for x, y, z in product(range(n), repeat=3):
+        if table[x][table[y][z]] != table[table[x][y]][table[x][z]]:
+            return x, y, z
+    return None
+
+
+def test_validate_rack_names_the_first_failing_triple():
+    # every swap of two entries in one row of a valid table keeps the rows
+    # bijective; the error must name the triple a brute-force scan finds
+    tables = [class_rack(5, 5).table]
+    tables += [[[(2 * x - y) % n for y in range(n)] for x in range(n)] for n in range(5, 9)]
+    failing = 0
+    for table in tables:
+        n = len(table)
+        for x in range(n):
+            for y, y2 in combinations(range(n), 2):
+                rows = [list(row) for row in table]
+                rows[x][y], rows[x][y2] = rows[x][y2], rows[x][y]
+                triple = first_failing_triple(rows)
+                if triple is None:
+                    validate_rack(rows)
+                    continue
+                failing += 1
+                with pytest.raises(ValueError) as raised:
+                    validate_rack(rows)
+                assert str(raised.value) == "self-distributivity fails at (%d, %d, %d)" % triple
+    assert failing > 1000
 
 
 def test_rack_basics():
