@@ -32,7 +32,6 @@ from .groups import (
     _aligning_conjugators,
     _conjugates,
     alternating_conjugate,
-    build_bsgs,
     conjugacy_orbit_contains,
     pair_subgroup,
 )
@@ -303,30 +302,33 @@ def _subgroup_partners(p, m, seed):
     classes in the same alternating half, each tau in the subgroup class of
     second is carried by the g with g first g^-1 = the standard cycle.
     Conjugation preserves both axioms, the generated subgroup's order and
-    the orbit search, so (standard cycle, g tau g^-1) tests as (first, tau)."""
+    the orbit search, so (standard cycle, g tau g^-1) tests as (first, tau).
+    A linear group on p < m points is read at degree m with point m fixed;
+    every conjugator between two of its p-cycles fixes that point, so they
+    are conjugate in A_m exactly when they are in A_p."""
     nat = natural_class(p, m).sigma
-    for group in _candidate_subgroups(p, m, seed):
+    for group in _candidate_subgroups(p, m):
         reps = order_p_class_reps(group, p, seed=seed)
+        fixed = tuple(range(group.degree, m))
         for i, first in enumerate(reps):
-            g = next(_aligning_conjugators(first, nat), None)
-            if g is None or conjugate(g, first) != nat:
+            at_m = first.extend(m)
+            g = next(_aligning_conjugators(at_m, nat), None)
+            if g is None or conjugate(g, at_m) != nat:
                 raise AssertionError("alignment failed to produce the standard cycle")
             carry = _conjugator(g.images)
             for j, second in enumerate(reps):
-                if i == j or not alternating_conjugate(first, second, m):
+                if i == j or not alternating_conjugate(first, second):
                     continue
                 for z in _conjugates(group, second.images):
-                    yield Permutation._of(carry(z))
+                    yield Permutation._of(carry(z + fixed))
 
 
-def _candidate_subgroups(p, m, seed):
-    """Groups searched by the subgroup strategy, all at degree m."""
+def _candidate_subgroups(p, m):
+    """Groups searched by the subgroup strategy: each linear group on its
+    p projective points, and at m = p + 1 a power of two the affine
+    Frobenius group on its m points."""
     for r, k in cyclotomic_decompositions(p):
-        group = psl_permutation_group(k, r)  # on its p projective points
-        if m == p:
-            yield group
-        else:
-            yield build_bsgs([g.extend(m) for g in group.generators], degree=m)
+        yield psl_permutation_group(k, r)
     if m == p + 1:
         two_power = prime_power_decompose(m)
         if two_power is not None and two_power[0] == 2:

@@ -41,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
-from .rack import validate_rack
+from .rack import _close, validate_rack
 
 __all__ = [
     "IntegerMatrix",
@@ -120,30 +120,16 @@ def _generating_points(table):
     every point.
 
     A point joins S when it is outside the closure of the points already
-    taken; the closure then grows under act(a, b) and act(b, a) for each new
-    member a and every member b. Each pair is met once or twice, so the walk
-    takes O(n^2) steps.
+    taken; `rack._close` then grows the closure with the new point as the
+    only pending one, so the whole walk takes O(n^2) steps.
     """
-    n = len(table)
-    inside = [False] * n
-    members = []
+    members = set()
     chosen = []
-    for s in range(n):
-        if inside[s]:
-            continue
-        chosen.append(s)
-        inside[s] = True
-        members.append(s)
-        pending = [s]
-        while pending:
-            a = pending.pop()
-            row_a = table[a]
-            for b in list(members):
-                for c in (row_a[b], table[b][a]):
-                    if not inside[c]:
-                        inside[c] = True
-                        members.append(c)
-                        pending.append(c)
+    for s in range(len(table)):
+        if s not in members:
+            chosen.append(s)
+            members.add(s)
+            _close(table, members, [s])
     return chosen
 
 
@@ -182,7 +168,8 @@ def _d2(table):
 
 def _d3(table, firsts):
     """d3 restricted to the columns (x, y, z) with x in firsts; the other
-    columns keep their numbers x*n^2 + y*n + z and hold no entries."""
+    columns keep their numbers x*n^2 + y*n + z and hold no entries. The
+    entry order, which sets the Smith form's pivots, is column by column."""
     n = len(table)
     nn = n * n
     d3 = {}
@@ -194,20 +181,17 @@ def _d3(table, firsts):
             base = x * nn + y * n
             for z in range(n):
                 col = base + z
-                acc = {}
                 for key, delta in (
-                    (y * n + z, 1),
-                    (x * n + row_y[z], 1),
-                    (x * n + z, -1),
-                    (xy * n + row_x[z], -1),
+                    ((y * n + z, col), 1),
+                    ((x * n + row_y[z], col), 1),
+                    ((x * n + z, col), -1),
+                    ((xy * n + row_x[z], col), -1),
                 ):
-                    s = acc.get(key, 0) + delta
+                    s = d3.get(key, 0) + delta
                     if s:
-                        acc[key] = s
+                        d3[key] = s
                     else:
-                        acc.pop(key, None)
-                for key, v in acc.items():
-                    d3[(key, col)] = v
+                        del d3[key]
     return IntegerMatrix(nn, n * nn, d3)
 
 
@@ -225,17 +209,17 @@ def boundary_matrices(rack):
 
 
 def _dense_smith(a):
-    """Invariant factors of a small dense integer matrix, destructively.
+    """Diagonal of a small dense integer matrix, destructively diagonalised.
 
-    Textbook elimination: bring the least-absolute-value entry to the corner,
-    clear its row and column by Euclidean steps, enforce that the corner
-    divides the rest of the block, recurse on the submatrix.
+    Plain Euclidean diagonalisation: bring the least-absolute-value entry to
+    the corner, clear its row and column by Euclidean steps, recurse on the
+    submatrix. The entries need not divide one another: only the pairwise
+    pass of `smith_normal_form` makes the divisibility chain.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     factors = []
-    t = 0
-    while t < rows and t < cols:
+    for t in range(min(rows, cols)):
         pr = pc = -1
         best = None
         for i in range(t, rows):
@@ -269,38 +253,24 @@ def _dense_smith(a):
                                 row[t], row[j] = row[j], row[t]
                             break
                 else:
-                    offender = None
-                    pivot = a[t][t]
-                    for i in range(t + 1, rows):
-                        for j in range(t + 1, cols):
-                            if a[i][j] % pivot:
-                                offender = i
-                                break
-                        if offender is not None:
-                            break
-                    if offender is None:
-                        break
-                    for j in range(t, cols):
-                        a[t][j] += a[offender][j]
-                continue
-            continue
+                    break
         factors.append(abs(a[t][t]))
-        t += 1
     return factors
 
 
 def smith_normal_form(matrix):
     """Invariant factors and rank of an integer matrix, exactly.
 
-    Two phases: sparse elimination on unit entries, then textbook reduction
-    of the small residual core. Each unit pivot is taken from the shortest
-    row holding a +-1 entry, at the unit whose column has the fewest
-    entries; rows live in buckets by length, and a unit-free row is not
-    scanned again until elimination changes it. A unit is always a
+    Two phases: sparse elimination on unit entries, then Euclidean
+    diagonalisation of the small residual core. Each unit pivot is taken
+    from the shortest row holding a +-1 entry, at the unit whose column has
+    the fewest entries; rows live in buckets by length, and a unit-free row
+    is not scanned again until elimination changes it. A unit is always a
     least-absolute-value pivot, and clearing its column makes the row clear
     by column operations that touch nothing else, so every such step is
-    unimodular and the pivot order changes only the time. The divisibility
-    chain d1 | d2 | ... is normalized pairwise before returning.
+    unimodular and the pivot order changes only the time. The core's
+    diagonal entries need not divide one another: one pairwise gcd/lcm pass
+    over them, and nothing else, makes the chain d1 | d2 | ....
     """
     if isinstance(matrix, IntegerMatrix):
         entries = matrix.entries
@@ -380,7 +350,7 @@ def smith_normal_form(matrix):
         for i, r in enumerate(live_rows):
             for c, v in row_data[r].items():
                 core[i][col_pos[c]] = v
-        factors = [f for f in _dense_smith(core) if f]
+        factors = _dense_smith(core)
 
     # diag(a, b) and diag(gcd, lcm) are equivalent, so one pairwise pass
     # settles the divisibility chain; the units' factors of 1 divide all

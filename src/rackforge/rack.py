@@ -181,22 +181,25 @@ def subrack_closure(rack, seeds):
     to a finite closed subset is injective, hence bijective, so the inverse
     translations stay inside automatically.
     """
-    table = rack.table
     members = set(seeds)
-    if not members:
-        return frozenset()
     if not all(0 <= s < rack.size for s in members):
         raise ValueError("seed out of range")
-    queue = list(members)
-    while queue:
-        f = queue.pop()
-        row_f = table[f]
-        for x in list(members):
-            for val in (row_f[x], table[x][f]):
-                if val not in members:
-                    members.add(val)
-                    queue.append(val)
-    return frozenset(members)
+    return frozenset(_close(rack.table, members, list(members)))
+
+
+def _close(table, members, pending):
+    """Grow the set members in place to its closure and return it, given
+    that only pairs meeting the list pending may be unclosed: each pending
+    a meets every member b through act(a, b) and act(b, a)."""
+    while pending:
+        a = pending.pop()
+        row_a = table[a]
+        for b in list(members):
+            for c in (row_a[b], table[b][a]):
+                if c not in members:
+                    members.add(c)
+                    pending.append(c)
+    return members
 
 
 def maximal_abelian_subrack_through(rack, x):

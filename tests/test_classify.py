@@ -365,27 +365,31 @@ def test_subgroup_partners_walk_the_class_lazily(monkeypatch):
 
 
 def test_candidate_subgroups_at_degree_p_are_the_linear_groups_as_built(monkeypatch):
-    # at m = p the linear group already acts on the p points: one chain per
-    # group, equal to a fresh build of its generators
-    from rackforge import classify, constructions
+    # at m = p and at m = p + 1 the linear group acts on its p points: one
+    # chain per group, equal to a fresh build of its generators; at m = 32
+    # the affine Frobenius group on 32 points comes last, also built once
+    from rackforge import groups
     from rackforge.classify import _candidate_subgroups
 
     builds = []
-    original = build_bsgs
+    original = groups._Builder.run
 
-    def counted(gens, degree=None):
-        builds.append(degree)
-        return original(gens, degree=degree)
+    def counted(builder):
+        builds.append(builder.degree)
+        return original(builder)
 
-    monkeypatch.setattr(constructions, "build_bsgs", counted)
-    monkeypatch.setattr(classify, "build_bsgs", counted)
+    monkeypatch.setattr(groups._Builder, "run", counted)
     for p in (13, 31):
-        builds.clear()
-        found = list(_candidate_subgroups(p, p, seed=0))
-        assert len(builds) == len(found) == len(cyclotomic_decompositions(p))
-        for group in found:
-            fresh = original(group.generators, degree=p)
-            assert (group.degree, group.base, group.order) == (p, fresh.base, fresh.order)
+        linear = len(cyclotomic_decompositions(p))
+        for m in (p, p + 1):
+            builds.clear()
+            found = list(_candidate_subgroups(p, m))
+            extra = [m] if m == 32 else []
+            assert builds == [p] * linear + extra, (p, m)
+            assert [group.degree for group in found] == builds
+            for group in found[:linear]:
+                fresh = build_bsgs(group.generators, degree=p)
+                assert (group.base, group.order) == (fresh.base, fresh.order)
 
 
 def test_subgroup_witness_for_every_type_d_class_up_to_p_307():

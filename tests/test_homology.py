@@ -290,12 +290,7 @@ def test_second_homology_matches_the_full_d3():
     racks += [trivial_rack(n) for n in (1, 2, 3)]
     racks.append(disjoint_union(dihedral_quandle(3), dihedral_quandle(5)))
     racks += small_conjugation_racks(8, seed=73)
-    rng = random.Random(74)
-    for golden in (class_rack(5, 5), twentyfour_subrack()):
-        for _ in range(2):
-            perm = list(range(golden.size))
-            rng.shuffle(perm)
-            racks.append(relabelled(golden, perm))
+    racks += relabelled_goldens()
     sizes = set()
     for rack in racks:
         generators = homology._generating_points(rack.table)
@@ -337,9 +332,10 @@ def test_second_homology_reduces_only_the_columns_of_generating_points(monkeypat
     assert {c // (n * n) for c in d3_columns} <= set(generators)
 
 
-def test_rank_of_d2_is_size_minus_orbit_count():
-    # im d2 is spanned by e_y - e_(xy), so Z^n / im d2 is free on the orbits
-    # of the group the rows generate; second_homology uses this rank
+def homology_test_racks():
+    """Trivial, dihedral, cyclic-shift, Alexander, permutation and union
+    racks, the A_4 3-cycles, seeded conjugation racks, the (5,5) and (5,6)
+    class racks and the 24-element subrack."""
     racks = [trivial_rack(n) for n in (1, 2, 3)]
     racks += [dihedral_quandle(n) for n in range(3, 10)]
     racks += [FiniteRack([[(y + 1) % n for y in range(n)]] * n) for n in (2, 3, 4)]
@@ -349,8 +345,14 @@ def test_rank_of_d2_is_size_minus_orbit_count():
     racks.append(conjugation_rack(three_cycles_of_a4()))
     racks += small_conjugation_racks(8, seed=71)
     racks += [class_rack(5, 5), class_rack(5, 6), twentyfour_subrack()]
+    return racks
+
+
+def test_rank_of_d2_is_size_minus_orbit_count():
+    # im d2 is spanned by e_y - e_(xy), so Z^n / im d2 is free on the orbits
+    # of the group the rows generate; second_homology uses this rank
     orbit_counts = set()
-    for rack in racks:
+    for rack in homology_test_racks():
         orbits = inner_orbit_count(rack)
         orbit_counts.add(orbits)
         assert homology._orbit_count(rack.table) == orbits
@@ -478,6 +480,58 @@ def shuffled(matrix, rng):
     rng.shuffle(col_to)
     entries = {(row_to[r], col_to[c]): v for (r, c), v in matrix.entries.items()}
     return IntegerMatrix(matrix.rows, matrix.cols, entries)
+
+
+def relabelled_goldens():
+    """The (5,5) class rack and the 24-element subrack, each under two
+    seeded relabellings."""
+    rng = random.Random(74)
+    racks = []
+    for golden in (class_rack(5, 5), twentyfour_subrack()):
+        for _ in range(2):
+            perm = list(range(golden.size))
+            rng.shuffle(perm)
+            racks.append(relabelled(golden, perm))
+    return racks
+
+
+def d3_column_by_column(table, firsts):
+    """d3's entries as (key, value) items, each column's four terms merged
+    in a dict of its own and then copied out in that dict's order."""
+    n = len(table)
+    entries = []
+    for x in firsts:
+        for y in range(n):
+            for z in range(n):
+                col = (x * n + y) * n + z
+                terms = {}
+                for key, delta in (
+                    (y * n + z, 1),
+                    (x * n + table[y][z], 1),
+                    (x * n + z, -1),
+                    (table[x][y] * n + table[x][z], -1),
+                ):
+                    total = terms.get(key, 0) + delta
+                    if total:
+                        terms[key] = total
+                    else:
+                        terms.pop(key, None)
+                entries += [((key, col), v) for key, v in terms.items()]
+    return entries
+
+
+def test_d3_entries_come_in_the_column_by_column_order():
+    # the order of d3's entries sets the Smith form's pivots, so it is
+    # pinned, item by item, on the generating points and on every point
+    for rack in homology_test_racks() + small_conjugation_racks(8, seed=73) + relabelled_goldens():
+        table = rack.table
+        n = rack.size
+        firsts = [homology._generating_points(table)]
+        # the (5,6) rack's full d3 has 72^3 columns: one first point at a time
+        firsts += [[x] for x in range(n)] if n == 72 else [range(n)]
+        for chosen in firsts:
+            expected = d3_column_by_column(table, chosen)
+            assert list(homology._d3(table, chosen).entries.items()) == expected
 
 
 def test_smith_normal_form_does_not_depend_on_pivot_order():

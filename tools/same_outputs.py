@@ -4,7 +4,9 @@
 
 Runs the same commands with each checkout's src/ on PYTHONPATH:
 `verify-all --desk`, `cohomology` at (5,5), (5,6) and on the 24-element
-subrack of the (7,7) class, and `census` at (5,5), (5,6), (7,7) and (7,8).
+subrack of the (7,7) class, `census` at (5,5), (5,6), (7,7) and (7,8),
+`witness --strategy subgroup` at (7,8), (13,14) and (31,32), and
+`witness --strategy exhaustive` at (5,6).
 The clock fields (`wall_clock_seconds`, `seconds`, and figures such as
 "0.3s" inside detail strings) are masked. Every difference is printed;
 the exit status is 1 if there is one. Stdlib only.
@@ -52,6 +54,9 @@ def commands(subrack_path):
     yield ["cohomology", "--rack", subrack_path]
     for p, m in ((5, 5), (5, 6), (7, 7), (7, 8)):
         yield ["census", "--p", str(p), "--m", str(m)]
+    for p, m in ((7, 8), (13, 14), (31, 32)):
+        yield ["witness", "--p", str(p), "--m", str(m), "--strategy", "subgroup"]
+    yield ["witness", "--p", "5", "--m", "6", "--strategy", "exhaustive"]
 
 
 def main(argv):
