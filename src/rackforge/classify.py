@@ -336,8 +336,10 @@ def _candidate_subgroups(p, m):
 
 
 def _reverify(witness, p, m):
-    """Independent re-check of a found witness: both elements in the class
-    of the standard p-cycle and both axioms satisfied."""
+    """Re-check a witness for (p, m): sigma is the standard p-cycle, tau
+    lies in its class, and `TypeDWitness.verify` holds. That last check
+    re-runs the same pair test that found the witness, so it guards the
+    record, not the test."""
     nat = natural_class(p, m).sigma
     if witness.sigma != nat:
         raise AssertionError("witness first coordinate is not the standard cycle")
@@ -360,7 +362,7 @@ def symmetric_group_witness(p):
         raise AssertionError("conjugate by a transposition stayed in the same half")
     result = type_d_pair(sigma, tau)
     if result.verdict != "Witness":
-        raise AssertionError("the standard symmetric-class pair failed: %s" % result.reason)
+        raise AssertionError("the standard symmetric-class pair gave %s" % result.verdict)
     return result.witness
 
 

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .acceptance import CRITERIA, run_criterion
+from .acceptance import CRITERIA, _criterion, run_criterion
 from .classify import (
     SearchOutcome,
     _reverify,
@@ -134,9 +134,9 @@ def _cache_load(path, key, args):
     """The cached outcome for key, or None. Only witnesses are served. An
     entry is served only when it was stored for this very request (p, m,
     strategy, seed and budget), its count of pairs tested is a positive
-    int, its orbit answer is "no", its witness re-checks for (p, m) from
-    scratch as a fresh search would, and it holds exactly the fields, types
-    and values that a fresh search's report of that witness would hold."""
+    int, its witness re-checks for (p, m) as a fresh search would, and it
+    holds exactly the fields, types and values that a fresh search's
+    report of that witness would hold."""
     if not path:
         return None
     entries = _cache_entries(path)
@@ -147,8 +147,6 @@ def _cache_load(path, key, args):
     if entry is None:
         return None
     try:
-        if entry["status"] != "witness":
-            raise ValueError("only witnesses are cached")
         request = (args.p, args.m, args.strategy, args.seed, args.budget)
         stored = tuple(entry[name] for name in ("p", "m", "strategy", "seed", "budget"))
         if [(type(v), v) for v in stored] != [(type(v), v) for v in request]:
@@ -156,8 +154,6 @@ def _cache_load(path, key, args):
         tested = entry["pairs_tested"]
         if type(tested) is not int or tested < 1:
             raise ValueError("pair count out of range")
-        if entry["witness"]["orbit_answer"] != "no":
-            raise ValueError("a witness needs a completed orbit search")
         witness = _reverify(TypeDWitness.from_json_dict(entry["witness"]), args.p, args.m)
         rebuilt = SearchOutcome(*request[:3], "witness", witness, tested, *request[3:])
         # dumps, not dicts: 1.0 == 1 and True == 1 in Python, but not in a report
@@ -389,6 +385,8 @@ def _cmd_verify_all(args):
     started = time.monotonic()
     if args.criteria:
         numbers = sorted({int(tok) for tok in args.criteria.split(",")})
+        for number in numbers:
+            _criterion(number)  # an unknown number fails before any criterion runs
     else:
         numbers = [criterion.number for criterion in CRITERIA]
     results = []

@@ -145,12 +145,9 @@ def order_p_class_reps(G, p, seed=0):
     prime by prime: for each prime q dividing p - 1, test c = 1, 2, ...
     while q^c divides p - 1, and stop at the first failure. That is at most
     Omega(p - 1) conjugacy tests x ~ x^e (prime factors counted with
-    multiplicity; 4 at p = 307, 6 at p = 757), not p - 1. Each test is in
-    closed form when G is the full alternating group on the points it
-    moves, else, when |C(x)|^2 <= |G|, a sift of x and of the conjugators
-    of x onto x^e that conjugacy_orbit_contains keeps, at least one from
-    each coset of <x> (one for a p-cycle on p or p + 1 points), else an
-    orbit search.
+    multiplicity; 4 at p = 307, 6 at p = 757), not p - 1. Each test is a
+    call of groups.conjugacy_orbit_contains, whose docstring says which
+    route decides it.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")

@@ -9,39 +9,12 @@ Base points are chosen deterministically (smallest moved point first), so
 identical generator lists always produce identical chains.
 
 Schreier-Sims skips the Schreier generators whose sift it already knows
-(Seress, Permutation Group Algorithms, 2003, Sec. 4.2), and every level
-keeps exactly the point, orbit order, transversal, inverse transversal and
-strong generators the plain loop gives:
-
-- a tree edge (s, beta), one that set u_{s(beta)} = s u_beta, gives the
-  identity, so it is not composed;
-- a Schreier generator that sifted to the identity earlier in the same
-  build is not sifted again: transversal entries are never replaced and
-  levels are only appended, so its sift reaches the identity again.
-  Generators that left a residue sift afresh;
-- a new inverse transversal entry is u_beta^-1 s^-1, with s^-1 taken once
-  per strong generator, not a fresh inverse at every orbit point.
-
-pair_subgroup recognises two families without a chain, both by Jordan's
-prime-cycle theorem (a primitive group of degree u holding a cycle of prime
-length r <= u - 3 contains Alt(U); Wielandt, Finite Permutation Groups,
-Thm 13.9). Let sigma and tau be cycles of one prime length q and U the union
-of their supports, u = |U| points:
-
-- u >= q + 3 and the supports meet: sigma is the prime cycle, and the
-  group is primitive (see pair_subgroup).
-- u = q >= 11: the group holds the q-cycle sigma, so it is transitive on
-  U, and a transitive group of prime degree is primitive, since a block
-  size divides u. The prime cycle comes from a fixed list of twelve words
-  in sigma and tau: a word with exactly one cycle of a prime length
-  r <= u - 3 and every other cycle length prime to r has an r-cycle as a
-  power. When no word in the list has that shape, the chain is built.
-
-Both generators are even (q is odd), so the group is exactly Alt(U) of
-order u!/2. Such a group answers contains in closed form (x lies in it
-exactly when x fixes every point outside U and is even), and builds its
-chain with build_bsgs only when sample or base first asks for it, so the
-chain is the one an eager build gives.
+and keeps every level exactly as the plain loop gives it; the rules and
+why they hold are in `_Builder._check_level` and `_Builder._extend_orbit`.
+pair_subgroup recognises two families of pairs of prime-length cycles
+as Alt(U) without a chain, by Jordan's prime-cycle theorem; both proofs
+are in its docstring, and PermGroup says how such a group answers
+contains.
 
 Every input and result is a perm.Permutation. The chain and the orbit
 search work on `Permutation.images` with the kernel functions of perm.py,
@@ -237,7 +210,9 @@ class _Builder:
     def _extend_orbit(self, idx):
         """Close the orbit under the strong generators, breadth first. A new
         point gamma = s(beta) gets u_gamma = s u_beta and its inverse
-        u_beta^-1 s^-1, and (gid of s, beta) is recorded as a tree edge."""
+        u_beta^-1 s^-1, with s^-1 the one _place stored for s, not a fresh
+        inverse at every orbit point; (gid of s, beta) is recorded as a
+        tree edge."""
         level = self.levels[idx]
         gens = self._gens_at(idx)
         frontier = list(level.orbit)
@@ -267,7 +242,8 @@ class _Builder:
         once the residue joins the strong set: it then factors through the
         deeper transversals and the new generator by construction.
 
-        Two kinds are skipped without changing any level:
+        Two kinds are skipped without changing any level (Seress,
+        Permutation Group Algorithms, 2003, Sec. 4.2):
 
         - a tree edge (s, beta), one that defined u_{s(beta)} = s u_beta in
           _extend_orbit, gives the identity, so it is not even composed;

@@ -18,21 +18,10 @@ embeds in free C_1, hence is torsion free. The group H^2(X, k^x) for an
 algebraically closed field is Hom(H_2, k^x), one torus factor per free rank
 and one root-of-unity group per invariant factor.
 
-rank d2 needs no matrix. im d2 is spanned by e_y - e_(xy), so Z^n / im d2
-is the coinvariant module of the permutation module Z^n under the group
-the rows generate, which is free on its orbits. So rank d2 = n - (number
-of orbits), and `second_homology` counts the orbits by one union-find pass;
-only `boundary_matrices` builds d2.
-
-The second identity means few columns of d3 are needed. Let S be a set of
-points whose closure under the operation is the whole rack. Then the
-columns (x, y, z) with x in S span im d3. Applying d3 to d4(x, y, u, v)
-writes column (xy, xu, xv) as an integer combination of columns whose
-first point is x or y. Since the row of x is a bijection, every column
-(xy, u', v') arises this way. So the points whose columns lie in the span
-of the S-columns are closed under the operation. They include S, hence
-they are every point. `second_homology` therefore reduces |S| n^2 columns
-instead of n^3.
+`second_homology` builds no d2, since rank d2 is n minus the number of
+orbits, and reduces only the d3 columns whose first point lies in a
+generating set S, |S| n^2 columns instead of n^3; both proofs are in its
+docstring. Only `boundary_matrices` builds d2 and the whole d3.
 """
 
 from __future__ import annotations

@@ -293,7 +293,7 @@ def test_witness_search_subgroup_strategy():
         assert format_cycles(w.tau) == tau
         assert w.subgroup_order == order
         assert w.sigma == Permutation.cycle(list(range(1, p + 1)), m)
-        assert w.st_squared != w.ts_squared
+        assert (w.sigma * w.tau) ** 2 != (w.tau * w.sigma) ** 2
         assert w.orbit_answer == "no"
         assert w.verify()
     for budget in (0, 1):
@@ -440,7 +440,7 @@ def test_symmetric_group_witness_frozen_pair():
 def test_symmetric_group_witness_all_small_primes():
     for p in (5, 7, 11, 13):
         w = symmetric_group_witness(p)
-        assert w.st_squared != w.ts_squared
+        assert (w.sigma * w.tau) ** 2 != (w.tau * w.sigma) ** 2
         assert w.orbit_answer == "no"
         assert w.verify()
     with pytest.raises(ValueError):

@@ -483,6 +483,14 @@ def test_verify_all_rejects_unknown_criterion(capsys):
     assert "error:" in err
 
 
+def test_verify_all_checks_every_criterion_number_before_running_any(capsys):
+    code, out, err = run_cli(capsys, "verify-all", "--criteria", "1,99")
+    assert code == 1
+    assert out == ""
+    assert "no criterion numbered 99" in err
+    assert "running criterion" not in err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])

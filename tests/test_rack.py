@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -221,7 +222,7 @@ def test_type_d_pair_witness():
         result = type_d_pair(found.witness.sigma, found.witness.tau)
     assert result.verdict == "Witness"
     w = result.witness
-    assert w.st_squared != w.ts_squared
+    assert (w.sigma * w.tau) ** 2 != (w.tau * w.sigma) ** 2
     assert w.orbit_answer == "no"
     assert w.verify()
 
@@ -233,8 +234,25 @@ def test_witness_json_roundtrip():
     w = found.witness
     back = TypeDWitness.from_json_dict(w.to_json_dict())
     assert back.sigma == w.sigma and back.tau == w.tau
-    assert back.st_squared == w.st_squared
+    assert back == w
     assert back.verify()
+
+
+def test_verify_compares_the_whole_witness_record():
+    from rackforge.classify import _reverify, witness_search
+
+    w = witness_search(7, 8, strategy="subgroup").witness
+    assert w.verify()
+    for changed in (
+        dataclasses.replace(w, orbit_answer="yes"),
+        dataclasses.replace(w, orbit_answer="capped"),
+        dataclasses.replace(w, subgroup_order=w.subgroup_order + 1),
+    ):
+        assert not changed.verify(), changed.orbit_answer
+        with pytest.raises(AssertionError):
+            _reverify(changed, 7, 8)
+    assert {f.name for f in dataclasses.fields(TypeDWitness)} == set(w.to_json_dict())
+    assert TypeDWitness.from_json_dict(w.to_json_dict()) == w
 
 
 def test_self_distributivity_random_triples():
