@@ -3,25 +3,24 @@
 Chain groups are free abelian on cartesian powers of the rack; the
 boundary maps used here are
 
-    d2(x, y)       = (y) - (xy)
-    d3(x, y, z)    = (y, z) + (x, yz) - (x, z) - (xy, xz)
-    d4(x, y, u, v) = (y, u, v) - (xy, xu, xv) - (x, u, v)
-                     + (x, yu, yv) + (x, y, v) - (x, y, uv)
+    d2(x, y)    = (y) - (xy)
+    d3(x, y, z) = (y, z) + (x, yz) - (x, z) - (xy, xz)
 
 writing xy for act(x, y). This is the cellular chain complex of the rack
-space (Fenn-Rourke-Sanderson), so d2 . d3 = 0 and d3 . d4 = 0. The first
-identity is self-distributivity, checked on every triple by
-`rack.validate_rack`: column (x, y, z) of d2 . d3 is
-e_((xy)(xz)) - e_(x(yz)). It makes the invariant factors of d3 exceeding 1
-exactly the torsion of H_2 = ker d2 / im d3: the quotient (C_2/im d3) / H_2
+space (Fenn-Rourke-Sanderson), so d2 . d3 = 0: column (x, y, z) of
+d2 . d3 is e_((xy)(xz)) - e_(x(yz)), which self-distributivity, checked
+on every triple by `rack.validate_rack`, makes zero. It makes the
+invariant factors of d3 exceeding 1 exactly the torsion of H_2 = ker d2 / im d3: the quotient (C_2/im d3) / H_2
 embeds in free C_1, hence is torsion free. The group H^2(X, k^x) for an
 algebraically closed field is Hom(H_2, k^x), one torus factor per free rank
 and one root-of-unity group per invariant factor.
 
-`second_homology` builds no d2, since rank d2 is n minus the number of
-orbits, and reduces only the d3 columns whose first point lies in a
-generating set S, |S| n^2 columns instead of n^3; both proofs are in its
-docstring. Only `boundary_matrices` builds d2 and the whole d3.
+`second_homology` builds neither: by Etingof-Grana, Shapiro's lemma and the
+universal coefficients, H_2 is the sum over the orbits of the abelianised
+point stabilisers of the adjoint group, and one Smith form on their
+Reidemeister-Schreier relation matrix gives it; the theorem and the
+presentation are in its docstring. Only `boundary_matrices` builds d2 and
+d3.
 """
 
 from __future__ import annotations
@@ -99,7 +98,8 @@ class IntegerMatrix:
 
 
 def size_guard(n):
-    """Raise ValueError when an n-element rack is too large for d3."""
+    """Raise ValueError when an n-element rack is too large for the
+    homology routes, which keep the bound that d3 needs."""
     if n**3 > SIZE_GUARD:
         raise ValueError("rack of size %d exceeds the n^3 <= %d guard" % (n, SIZE_GUARD))
 
@@ -120,25 +120,6 @@ def _generating_points(table):
             members.add(s)
             _close(table, members, [s])
     return chosen
-
-
-def _orbit_count(table):
-    """Orbits of the group the rows generate: one union-find pass that
-    joins y with act(x, y) for every pair (x, y)."""
-    root = list(range(len(table)))
-    orbits = len(table)
-    for row in table:
-        for y, t in enumerate(row):
-            while root[y] != y:
-                root[y] = root[root[y]]
-                y = root[y]
-            while root[t] != t:
-                root[t] = root[root[t]]
-                t = root[t]
-            if y != t:
-                root[y] = t
-                orbits -= 1
-    return orbits
 
 
 def _d2(table):
@@ -387,28 +368,124 @@ def second_homology(rack):
     """H_2(X, Z) as free rank and torsion chain.
 
     The table is checked as `boundary_matrices` checks it: every row a
-    bijection and self-distributivity on every triple. The free rank is
-    n^2 - rank d2 - rank d3.
+    bijection and self-distributivity on every triple.
 
-    rank d2 = n - (number of orbits of the group the rows generate), with
-    no d2 built. Proof: im d2 is spanned by e_y - e_(xy), so Z^n / im d2
-    is the coinvariant module of the permutation module Z^n, which is free
-    on the orbits.
+    Etingof-Grana (On rack cohomology, JPAA 178, 2003) give H^2(X, A) =
+    H^1(Adj(X), Fun(X, A)) for the adjoint group Adj(X) = <e_x | e_x e_y
+    e_x^-1 = e_(xy)>, acting on X through the rows. Fun(X, A) is the sum
+    over the orbits O of the modules coinduced from the stabiliser of a
+    point x_O, so Shapiro's lemma makes it the sum of Hom(Stab(x_O), A); with the
+    universal coefficients, and H_1 free, H_2(X) is the sum over the orbits
+    of the abelianised Stab(x_O).
 
-    d3 is reduced only on its columns (x, y, z) with x in S =
-    `_generating_points`, which span im d3. Proof: d3 . d4 = 0 applied to
-    d4(x, y, u, v) puts column (xy, xu, xv) in the span of the columns
-    whose first point is x or y, and (xu, xv) runs over every pair because
-    the row of x is a bijection. So the first points whose columns lie in
-    the span of the S-columns are closed under the operation; they contain
-    S, hence every point.
+    The presentation used has the generators e_s, s in S =
+    `_generating_points`, and the relators e_s e_y e_s^-1 = e_(sy) for s in
+    S and every y. The relators with first point x follow for every x: if
+    they hold for s and t, conjugating by e_(st) = e_s e_t e_s^-1 acts as
+    the row of st, by self-distributivity, and the points so covered are
+    closed under the operation and contain S. A breadth-first walk from S
+    under the rows of S writes every e_z as e_s e_y e_s^-1 for z = sy,
+    with y reached earlier.
+
+    Each stabiliser is presented by Reidemeister-Schreier on a
+    breadth-first transversal of its orbit: the Schreier generator (c, s),
+    the transversal's inverse at sc times e_s times its entry at c, is a
+    column unless the walk first reached sc from c along s, so an orbit
+    has |O|(|S| - 1) + 1 columns. Each relator rewritten from each coset
+    is a row. The rewrite R(z, sd) of e_z from coset sd is
+    R(y, d) - (d, s) + (yd, s), computed once from the parent y of z; the
+    relator (s, y) from coset d is then that sum minus R(sy, sd), which
+    vanishes when (s, y) is z's parent. The orbits are column blocks of
+    one matrix, so one Smith form gives the torsion as one chain, and the
+    free rank is the columns minus the rank.
     """
-    n = rack.size
-    size_guard(n)
-    table = rack.table
-    validate_rack(table)
-    rank2 = n - _orbit_count(table)
-    factors3, rank3 = smith_normal_form(_d3(table, _generating_points(table)))
-    free_rank = n * n - rank2 - rank3
-    torsion = tuple(d for d in factors3 if d > 1)
-    return HomologyResult(free_rank=free_rank, torsion=torsion)
+    size_guard(rack.size)
+    validate_rack(rack.table)
+    relations = _stabiliser_relations(rack.table)
+    factors, rank = smith_normal_form(relations)
+    torsion = tuple(d for d in factors if d > 1)
+    return HomologyResult(free_rank=relations.cols - rank, torsion=torsion)
+
+
+def _stabiliser_relations(table):
+    """The abelianised relation matrix of the point stabilisers of
+    `second_homology`, one column block per orbit: rows are the rewritten
+    relators, columns the Schreier generators off the transversal tree."""
+    n = len(table)
+    generators = _generating_points(table)
+
+    # the breadth-first parent (s, y) of every point z = act(s, y) outside S
+    parent = dict.fromkeys(generators)
+    order = list(generators)
+    for y in order:
+        for s in generators:
+            z = table[s][y]
+            if z not in parent:
+                parent[z] = (s, y)
+                order.append(z)
+
+    # gamma[s][c]: the column of Schreier generator (c, s), None on the tree
+    gamma = {s: [None] * n for s in generators}
+    cols = 0
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for c in orbit:
+            for s in generators:
+                d = table[s][c]
+                if seen[d]:
+                    gamma[s][c] = cols
+                    cols += 1
+                else:
+                    seen[d] = True
+                    orbit.append(d)
+
+    # rewrite[z][c]: e_z rewritten from coset c, as {column: coefficient}
+    rewrite = {s: [{} if g is None else {g: 1} for g in gamma[s]] for s in generators}
+    for z in order[len(generators):]:
+        s, y = parent[z]
+        row_s, row_y, gamma_s, from_y = table[s], table[y], gamma[s], rewrite[y]
+        from_z = [None] * n
+        for d in range(n):
+            from_z[row_s[d]] = _shifted(from_y[d], gamma_s[d], gamma_s[row_y[d]])
+        rewrite[z] = from_z
+
+    entries = {}
+    rows = 0
+    for s in generators:
+        row_s, gamma_s = table[s], gamma[s]
+        for y in range(n):
+            z = row_s[y]
+            if parent.get(z) == (s, y):
+                continue
+            row_y, from_y, from_z = table[y], rewrite[y], rewrite[z]
+            for d in range(n):
+                relator = _shifted(from_y[d], gamma_s[d], gamma_s[row_y[d]])
+                for col, v in from_z[row_s[d]].items():
+                    v = relator.get(col, 0) - v
+                    if v:
+                        relator[col] = v
+                    else:
+                        del relator[col]
+                if relator:
+                    for col, v in relator.items():
+                        entries[(rows, col)] = v
+                    rows += 1
+    return IntegerMatrix(rows, cols, entries)
+
+
+def _shifted(vector, minus, plus):
+    """A copy of vector, {column: coefficient}, less column minus and plus
+    column plus, where None stands for no column."""
+    out = dict(vector)
+    for col, delta in ((minus, -1), (plus, 1)):
+        if col is not None:
+            v = out.get(col, 0) + delta
+            if v:
+                out[col] = v
+            else:
+                del out[col]
+    return out

@@ -99,8 +99,10 @@ class FiniteRack:
                 raise ValueError("table entries must be integers 1..size")
             rows.append(tuple(v - 1 for v in row))
         labels = data.get("labels")
-        if labels is not None and not isinstance(labels, list):
-            raise ValueError("labels must be a list")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+        ):
+            raise ValueError("labels must be a list of strings")
         return cls(rows, labels=labels, check=True)
 
 

@@ -393,6 +393,20 @@ def test_cohomology_rejects_malformed_rack_files(tmp_path, capsys):
         assert out == ""
 
 
+def test_cohomology_rejects_rack_files_whose_labels_are_not_strings(tmp_path, capsys):
+    # labels are read back only as the strings they are written as, never
+    # turned into strings, so a file read and written again is the same file
+    path = tmp_path / "rack.json"
+    path.write_text(json.dumps({"size": 2, "table": [[1, 2], [1, 2]], "labels": ["a", "b"]}))
+    assert run_cli(capsys, "cohomology", "--rack", str(path))[0] == 0
+    for labels in ([{"a": 1}, [2]], ["a", 2]):
+        path.write_text(json.dumps({"size": 2, "table": [[1, 2], [1, 2]], "labels": labels}))
+        code, out, err = run_cli(capsys, "cohomology", "--rack", str(path))
+        assert code == 1, labels
+        assert err.startswith("error: ") and "Traceback" not in err, labels
+        assert out == ""
+
+
 def test_cohomology_reports_an_unreadable_rack_file(tmp_path, capsys):
     for path in (tmp_path / "missing.json", tmp_path):
         code, out, err = run_cli(capsys, "cohomology", "--rack", str(path))

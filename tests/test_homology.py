@@ -305,9 +305,63 @@ def test_second_homology_matches_the_full_d3():
     assert second_homology(eight_five).torsion == (2, 2, 2, 2)
 
 
+def restricted_d3_homology(rack):
+    """H_2 by the d3 route second_homology took before the adjoint group:
+    rank d2 from d2's Smith form, and the torsion and rank of d3 from one
+    Smith form on its columns whose first point is a generating point."""
+    table = rack.table
+    _, rank2 = smith_normal_form(homology._d2(table))
+    factors3, rank3 = smith_normal_form(homology._d3(table, homology._generating_points(table)))
+    return HomologyResult(rack.size**2 - rank2 - rank3, tuple(d for d in factors3 if d > 1))
+
+
+def union_racks():
+    """Disjoint unions of two and of three racks, mixing trivial racks,
+    permutation racks and dihedral quandles, so several orbits share one
+    torsion chain."""
+    parts = [
+        (trivial_rack(2), dihedral_quandle(4)),
+        (permutation_rack((1, 2, 3, 0)), dihedral_quandle(6)),
+        (trivial_rack(1), permutation_rack((1, 0, 3, 4, 2))),
+        (dihedral_quandle(4), conjugation_rack(three_cycles_of_a4())),
+        (trivial_rack(1), permutation_rack((1, 2, 3, 0)), dihedral_quandle(4)),
+        (dihedral_quandle(3), trivial_rack(2), permutation_rack((0, 2, 1))),
+        (permutation_rack((1, 0, 3, 4, 2)), dihedral_quandle(4), dihedral_quandle(5)),
+    ]
+    racks = []
+    for first, *rest in parts:
+        for part in rest:
+            first = disjoint_union(first, part)
+        racks.append(first)
+    return racks
+
+
+def test_second_homology_matches_the_restricted_d3():
+    racks = homology_test_racks() + relabelled_goldens() + union_racks()
+    racks += small_conjugation_racks(200, seed=11)
+    torsions = set()
+    for rack in racks:
+        h = second_homology(rack)
+        torsions.add(h.torsion)
+        assert h == restricted_d3_homology(rack), rack.table
+    assert {(), (2, 2), (2, 2, 2, 2), (10,), (30,)} <= torsions
+    unions = [second_homology(rack) for rack in union_racks()]
+    assert HomologyResult(25, (2, 2)) in unions
+    assert HomologyResult(16, (2, 2, 2, 2)) in unions
+
+
+def test_three_hundred_sixty_element_class_golden_value():
+    # the (7,7) class rack: its restricted d3 alone has 2 * 360^2 columns,
+    # out of the d3 route's reach
+    rack = class_rack(7, 7)
+    assert rack.size == 360
+    assert second_homology(rack) == HomologyResult(1, (42,))
+
+
 def test_second_homology_reduces_only_the_columns_of_generating_points(monkeypatch):
-    # one Smith form, on d3's generating-point columns; rank d2 comes from
-    # the orbit count, so d2 is neither built nor reduced
+    # one Smith form, on the point stabilisers' relation matrix: a column
+    # per Schreier generator off the transversal tree, |O|(|S| - 1) + 1 for
+    # each orbit O; neither d2 nor d3 is built
     reduced = []
     real = homology.smith_normal_form
 
@@ -315,21 +369,23 @@ def test_second_homology_reduces_only_the_columns_of_generating_points(monkeypat
         reduced.append(matrix)
         return real(matrix)
 
-    def no_d2(table):
-        raise AssertionError("second_homology built d2")
+    def not_built(*args):
+        raise AssertionError("second_homology built a boundary matrix")
 
     monkeypatch.setattr(homology, "smith_normal_form", recording)
-    monkeypatch.setattr(homology, "_d2", no_d2)
-    rack = twentyfour_subrack()
-    n = rack.size
-    assert second_homology(rack).torsion == (14,)
-    generators = homology._generating_points(rack.table)
-    assert len(generators) == 2
-    (d3,) = reduced
-    assert (d3.rows, d3.cols) == (n * n, 13824)
-    d3_columns = {c for _, c in d3.entries}
-    assert len(d3_columns) <= len(generators) * n * n == 1152
-    assert {c // (n * n) for c in d3_columns} <= set(generators)
+    monkeypatch.setattr(homology, "_d2", not_built)
+    monkeypatch.setattr(homology, "_d3", not_built)
+    for rack, torsion, columns in (
+        (twentyfour_subrack(), (14,), 25),
+        (disjoint_union(dihedral_quandle(3), dihedral_quandle(5)), (), 26),
+    ):
+        reduced.clear()
+        assert second_homology(rack).torsion == torsion
+        generators = homology._generating_points(rack.table)
+        # the sum over the orbits of |O|(|S| - 1) + 1, as the |O| add up to n
+        assert rack.size * (len(generators) - 1) + inner_orbit_count(rack) == columns
+        (relations,) = reduced
+        assert relations.cols == columns
 
 
 def homology_test_racks():
@@ -350,12 +406,11 @@ def homology_test_racks():
 
 def test_rank_of_d2_is_size_minus_orbit_count():
     # im d2 is spanned by e_y - e_(xy), so Z^n / im d2 is free on the orbits
-    # of the group the rows generate; second_homology uses this rank
+    # of the group the rows generate
     orbit_counts = set()
     for rack in homology_test_racks():
         orbits = inner_orbit_count(rack)
         orbit_counts.add(orbits)
-        assert homology._orbit_count(rack.table) == orbits
         # the (5,6) rack's full d3 has 72^3 columns; its d2 is all this needs
         d2 = homology._d2(rack.table) if rack.size == 72 else boundary_matrices(rack)[0]
         assert rack.size - orbits == smith_normal_form(d2)[1], rack.table

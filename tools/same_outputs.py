@@ -5,10 +5,13 @@
 Runs the same commands with each checkout's src/ on PYTHONPATH:
 `verify-all --desk`, `classify` at (13,13), `primes --below 1000`,
 `fw-identify` on two 5-cycles, `construct psl --k 3 --r 2` and
-`construct frobenius --h 3`, `cohomology` at (5,5), (5,6) and on the
-24-element subrack of the (7,7) class, `census` at (5,5), (5,6), (7,7)
-and (7,8), `witness --strategy subgroup` at (7,8), (13,14) and (31,32),
-and `witness --strategy exhaustive` at (5,5) and (5,6). Last, it runs
+`construct frobenius --h 3`, `cohomology` at (5,5), (5,6), on the
+24-element subrack of the (7,7) class and on a union of the dihedral
+quandles of orders 3, 4 and 6 and the trivial rack on 2 points, written
+here as rack JSON (seven orbits, so the torsion chain runs across them),
+`census` at (5,5), (5,6), (7,7) and (7,8), `witness --strategy subgroup`
+at (7,8), (13,14) and (31,32), and `witness --strategy exhaustive` at
+(5,5) and (5,6). Last, it runs
 `witness --p 7 --m 8 --cache F` twice with F in a fresh temporary
 directory, and compares the second report, served from the cache, and
 whether the second run logged a cache hit.
@@ -29,6 +32,24 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLOCK_KEYS = {"wall_clock_seconds", "seconds"}
 CLOCK_IN_TEXT = re.compile(r"\d+\.\d+s\b")
 SUBRACK_TAU = "(1 2 4 3 7 6 5)"  # closes with the standard 7-cycle to 24 elements
+
+
+def union_rack_json():
+    """Rack JSON, 1-based, of the dihedral quandles of orders 3, 4 and 6
+    and the trivial rack on 2 points side by side, each part acting
+    trivially on the others."""
+    parts = [[[(2 * x - y) % k for y in range(k)] for x in range(k)] for k in (3, 4, 6)]
+    parts.append([[0, 1], [0, 1]])
+    n = sum(len(part) for part in parts)
+    table = []
+    offset = 0
+    for part in parts:
+        for row in part:
+            full = list(range(n))
+            full[offset:offset + len(part)] = [offset + v for v in row]
+            table.append([v + 1 for v in full])
+        offset += len(part)
+    return {"size": n, "table": table}
 
 
 def run(checkout, args):
@@ -68,7 +89,7 @@ def mask(value):
     return value
 
 
-def commands(subrack_path):
+def commands(subrack_path, union_path):
     yield ["verify-all", "--desk"]
     yield ["classify", "--p", "13", "--m", "13"]
     yield ["primes", "--below", "1000"]
@@ -78,6 +99,7 @@ def commands(subrack_path):
     for p, m in ((5, 5), (5, 6)):
         yield ["cohomology", "--p", str(p), "--m", str(m)]
     yield ["cohomology", "--rack", subrack_path]
+    yield ["cohomology", "--rack", union_path]
     for p, m in ((5, 5), (5, 6), (7, 7), (7, 8)):
         yield ["census", "--p", str(p), "--m", str(m)]
     for p, m in ((7, 8), (13, 14), (31, 32)):
@@ -86,9 +108,9 @@ def commands(subrack_path):
         yield ["witness", "--p", str(p), "--m", str(m), "--strategy", "exhaustive"]
 
 
-def runs(subrack_path):
+def runs(subrack_path, union_path):
     """(label, function of a checkout giving its output) for each comparison."""
-    for args in commands(subrack_path):
+    for args in commands(subrack_path, union_path):
         yield " ".join(args), lambda checkout, args=args: cli(checkout, args)
     yield "witness --p 7 --m 8 --cache F, second run", cache_round_trip
 
@@ -104,7 +126,10 @@ def main(argv):
                            "--tau", SUBRACK_TAU, "--out", subrack_path])
         if built.get("result", {}).get("size") != 24:
             sys.exit("could not build the 24-element subrack: %r" % built)
-        for label, output in runs(subrack_path):
+        union_path = os.path.join(tmp, "union.json")
+        with open(union_path, "w") as f:
+            json.dump(union_rack_json(), f)
+        for label, output in runs(subrack_path, union_path):
             before, after = (json.dumps(output(c), indent=1, sort_keys=True).splitlines()
                              for c in (parent, HERE))
             same = before == after
