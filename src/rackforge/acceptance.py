@@ -38,7 +38,7 @@ from .groups import (
 )
 from .homology import boundary_matrices, second_homology, smith_normal_form
 from .numth import cyclotomic_decompositions, cyclotomic_primes_below, jacobi
-from .perm import Permutation
+from .perm import Permutation, _json
 from .rack import (
     class_rack,
     conjugation_rack,
@@ -75,14 +75,7 @@ class CriterionResult:
         )
 
     def to_json_dict(self):
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "seconds": round(self.seconds, 3),
-            "bound_seconds": self.bound_seconds,
-            "details": self.details,
-        }
+        return {**_json(self), "seconds": round(self.seconds, 3)}
 
 
 def _classification_table():

@@ -36,7 +36,7 @@ from .groups import (
     pair_subgroup,
 )
 from .numth import cyclotomic_decompositions, is_prime, prime_power_decompose
-from .perm import Permutation, _conjugator, conjugate
+from .perm import Permutation, _conjugator, _json, conjugate
 from .rack import TypeDWitness, type_d_pair
 
 __all__ = [
@@ -69,12 +69,7 @@ class ClassVerdict:
     reason: dict
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "m": self.m,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
+        return _json(self)
 
 
 def classify_class(p, m):
@@ -109,13 +104,7 @@ class FwCase:
     names: tuple
 
     def to_json_dict(self):
-        return {
-            "tag": self.tag,
-            "p": self.p,
-            "m": self.m,
-            "order": self.order,
-            "names": list(self.names),
-        }
+        return _json(self)
 
 
 def _case_candidates(p, m, order):
@@ -227,18 +216,7 @@ class SearchOutcome:
     budget: Optional[int] = None
 
     def to_json_dict(self):
-        out = {
-            "p": self.p,
-            "m": self.m,
-            "strategy": self.strategy,
-            "status": self.status,
-            "pairs_tested": self.pairs_tested,
-            "indeterminate": 0,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
-        out["witness"] = self.witness.to_json_dict() if self.witness else None
-        return out
+        return {**_json(self), "indeterminate": 0}
 
 
 def _first_witness(sigma, taus):
@@ -375,13 +353,7 @@ class CensusRow:
     count: int
 
     def to_json_dict(self):
-        return {
-            "closure_size": self.closure_size,
-            "case_tag": self.case_tag,
-            "subgroup_order": self.subgroup_order,
-            "abelian": self.abelian,
-            "count": self.count,
-        }
+        return _json(self)
 
 
 @dataclass(frozen=True)
@@ -393,13 +365,7 @@ class CensusReport:
     rows: tuple
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "m": self.m,
-            "exhaustive": self.exhaustive,
-            "pairs": self.pairs,
-            "rows": [row.to_json_dict() for row in self.rows],
-        }
+        return _json(self)
 
 
 def _closure_size(sigma, tau, subgroup):
@@ -484,20 +450,11 @@ class SquareCheckReport:
         return not self.violations
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "m": self.m,
-            "exhaustive": self.exhaustive,
-            "pairs_checked": self.pairs_checked,
-            "square_pairs": self.square_pairs,
-            "commuting": self.commuting,
-            "order_two": self.order_two,
-            "violations": [
-                {"tau": str(tau), "clause": clause, "order": order}
-                for tau, clause, order in self.violations
-            ],
-            "holds": self.holds,
-        }
+        violations = [
+            {"tau": str(tau), "clause": clause, "order": order}
+            for tau, clause, order in self.violations
+        ]
+        return {**_json(self), "violations": violations, "holds": self.holds}
 
 
 def lemma_square_check(p, m, budget=None, seed=0):

@@ -383,12 +383,17 @@ def _cmd_primes(args):
 
 def _cmd_verify_all(args):
     started = time.monotonic()
-    if args.criteria:
-        numbers = sorted({int(tok) for tok in args.criteria.split(",")})
+    if args.criteria is None:
+        numbers = [criterion.number for criterion in CRITERIA]
+    else:
+        try:
+            numbers = sorted({int(tok) for tok in args.criteria.split(",")})
+        except ValueError:
+            raise ValueError(
+                "--criteria takes comma-separated criterion numbers, got %r" % args.criteria
+            ) from None
         for number in numbers:
             _criterion(number)  # an unknown number fails before any criterion runs
-    else:
-        numbers = [criterion.number for criterion in CRITERIA]
     results = []
     for number in numbers:
         _log("running criterion %d" % number)

@@ -29,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
+from .perm import _json
 from .rack import _close, validate_rack
 
 __all__ = [
@@ -99,7 +100,9 @@ class IntegerMatrix:
 
 def size_guard(n):
     """Raise ValueError when an n-element rack is too large for the
-    homology routes, which keep the bound that d3 needs."""
+    homology routes. n^3 bounds the size of each: the n^3 columns of d3 in
+    `boundary_matrices`, and in `second_homology` the n^2 rewrites, one per
+    point and coset, and the at most |S| n^2 relator rows, |S| <= n."""
     if n**3 > SIZE_GUARD:
         raise ValueError("rack of size %d exceeds the n^3 <= %d guard" % (n, SIZE_GUARD))
 
@@ -357,11 +360,7 @@ class HomologyResult:
         return " × ".join(parts) if parts else "1"
 
     def to_json_dict(self):
-        return {
-            "free_rank": self.free_rank,
-            "torsion": list(self.torsion),
-            "pretty": self.pretty,
-        }
+        return {**_json(self), "pretty": self.pretty}
 
 
 def second_homology(rack):
@@ -392,12 +391,14 @@ def second_homology(rack):
     the transversal's inverse at sc times e_s times its entry at c, is a
     column unless the walk first reached sc from c along s, so an orbit
     has |O|(|S| - 1) + 1 columns. Each relator rewritten from each coset
-    is a row. The rewrite R(z, sd) of e_z from coset sd is
-    R(y, d) - (d, s) + (yd, s), computed once from the parent y of z; the
-    relator (s, y) from coset d is then that sum minus R(sy, sd), which
-    vanishes when (s, y) is z's parent. The orbits are column blocks of
-    one matrix, so one Smith form gives the torsion as one chain, and the
-    free rank is the columns minus the rank.
+    is a row. The breadth-first walk from S visits each pair (s, y), y in
+    the order reached and s in S, once, and rewrites e_s e_y e_s^-1 from
+    each coset sd as R(y, d) - (d, s) + (yd, s). At the first pair
+    reaching z = sy that is the rewrite R(z, sd) of e_z, and the relator
+    vanishes; at every later pair the relator (s, y) from coset d is that
+    sum minus R(z, sd). The orbits are column blocks of one matrix, so one
+    Smith form gives the torsion as one chain, and the free rank is the
+    columns minus the rank.
     """
     size_guard(rack.size)
     validate_rack(rack.table)
@@ -413,16 +414,6 @@ def _stabiliser_relations(table):
     relators, columns the Schreier generators off the transversal tree."""
     n = len(table)
     generators = _generating_points(table)
-
-    # the breadth-first parent (s, y) of every point z = act(s, y) outside S
-    parent = dict.fromkeys(generators)
-    order = list(generators)
-    for y in order:
-        for s in generators:
-            z = table[s][y]
-            if z not in parent:
-                parent[z] = (s, y)
-                order.append(z)
 
     # gamma[s][c]: the column of Schreier generator (c, s), None on the tree
     gamma = {s: [None] * n for s in generators}
@@ -443,28 +434,28 @@ def _stabiliser_relations(table):
                     seen[d] = True
                     orbit.append(d)
 
-    # rewrite[z][c]: e_z rewritten from coset c, as {column: coefficient}
+    # rewrite[z][c]: e_z rewritten from coset c, as {column: coefficient},
+    # set at the first pair (s, y) of the walk with z = act(s, y); every
+    # later pair gives the relator rows
     rewrite = {s: [{} if g is None else {g: 1} for g in gamma[s]] for s in generators}
-    for z in order[len(generators):]:
-        s, y = parent[z]
-        row_s, row_y, gamma_s, from_y = table[s], table[y], gamma[s], rewrite[y]
-        from_z = [None] * n
-        for d in range(n):
-            from_z[row_s[d]] = _shifted(from_y[d], gamma_s[d], gamma_s[row_y[d]])
-        rewrite[z] = from_z
-
+    order = list(generators)
     entries = {}
     rows = 0
-    for s in generators:
-        row_s, gamma_s = table[s], gamma[s]
-        for y in range(n):
-            z = row_s[y]
-            if parent.get(z) == (s, y):
-                continue
-            row_y, from_y, from_z = table[y], rewrite[y], rewrite[z]
+    for y in order:
+        row_y, from_y = table[y], rewrite[y]
+        for s in generators:
+            row_s, gamma_s = table[s], gamma[s]
+            shifted = [None] * n
             for d in range(n):
-                relator = _shifted(from_y[d], gamma_s[d], gamma_s[row_y[d]])
-                for col, v in from_z[row_s[d]].items():
+                shifted[row_s[d]] = _shifted(from_y[d], gamma_s[d], gamma_s[row_y[d]])
+            z = row_s[y]
+            from_z = rewrite.get(z)
+            if from_z is None:
+                rewrite[z] = shifted
+                order.append(z)
+                continue
+            for relator, known in zip(shifted, from_z):
+                for col, v in known.items():
                     v = relator.get(col, 0) - v
                     if v:
                         relator[col] = v

@@ -12,11 +12,15 @@ function composition, compose(a, b) applies b first.
 bijections by construction (products, inverses, conjugates, powers,
 extensions, chain samples, aligning conjugators, the cycles of
 `constructions.class_elements`) go through the unchecked `Permutation._of`.
+
+`_json` gives the package's result records their JSON form from their
+fields, with each permutation in its `to_json_dict` form.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields, is_dataclass
 from math import gcd
 from operator import itemgetter
 
@@ -200,6 +204,19 @@ class Permutation:
         if type(degree) is not int or degree != len(images):
             raise ValueError("degree field does not match images length")
         return cls(i - 1 for i in images)
+
+
+def _json(value):
+    """The JSON form of a result record, from its own fields: a dataclass
+    maps each field to its form in field order, a tuple or list becomes a
+    list, a Permutation takes its own form, and anything else is itself."""
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    if isinstance(value, Permutation):
+        return value.to_json_dict()
+    return value
 
 
 def _compose(a, b):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .constructions import class_elements
 from .groups import conjugacy_orbit_contains, pair_subgroup
-from .perm import Permutation, _compose, _conjugator, format_cycles
+from .perm import Permutation, _compose, _conjugator, _json, format_cycles
 
 __all__ = [
     "FiniteRack",
@@ -262,12 +262,7 @@ class TypeDWitness:
         return type_d_pair(self.sigma, self.tau).witness == self
 
     def to_json_dict(self):
-        return {
-            "sigma": self.sigma.to_json_dict(),
-            "tau": self.tau.to_json_dict(),
-            "subgroup_order": self.subgroup_order,
-            "orbit_answer": self.orbit_answer,
-        }
+        return _json(self)
 
     @classmethod
     def from_json_dict(cls, data):

@@ -509,3 +509,23 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize("value", ["", "1,,2", "1,x"])
+def test_verify_all_rejects_criteria_that_are_not_a_list_of_numbers(capsys, monkeypatch, value):
+    import rackforge.cli as cli
+    from rackforge.acceptance import CriterionResult
+
+    ran = []
+
+    def run_criterion(number):
+        ran.append(number)
+        return CriterionResult(number, "stub", True, 0.0, None, "")
+
+    monkeypatch.setattr(cli, "run_criterion", run_criterion)
+    code, out, err = run_cli(capsys, "verify-all", "--criteria", value, "--json")
+    assert code == 1
+    assert out == ""
+    assert ran == []
+    assert "running criterion" not in err
+    assert "error:" in err and repr(value) in err

@@ -429,9 +429,10 @@ def self_distributivity_failures(table, firsts):
 
 
 def test_second_homology_checks_every_triple():
-    # self-distributive at every triple whose first point generates, so the
-    # d3 columns second_homology keeps pass d2 . d3 = 0; the row of 1 is no
-    # bijection and (2, 1, 1) fails, so the table is no rack
+    # self-distributive at every triple whose first point generates, the
+    # first points of second_homology's relators (and d2 . d3 = 0 on those
+    # columns); the row of 1 is no bijection and (2, 1, 1) fails, so only
+    # the check of every triple finds that the table is no rack
     table = ((0, 1, 2), (0, 2, 0), (0, 1, 0))
     generators = homology._generating_points(table)
     assert generators == [0, 1]
@@ -446,11 +447,12 @@ def test_second_homology_checks_every_triple():
 
 
 def test_bijective_rows_self_distributive_at_generating_points_make_a_rack():
-    # why a non-rack table that passes on the generating points needs a row
-    # that is no bijection: when the rows of a and b are automorphisms, the
-    # row of act(a, b) is their conjugate, so the points with automorphism
-    # rows are closed and hold the generating points. All 24^4 tables of
-    # bijections on 4 points, exhaustively:
+    # why a table of bijections that is self-distributive at the generating
+    # points is a rack, which the generating-point columns of
+    # restricted_d3_homology rely on: when the rows of a and b are
+    # automorphisms, the row of act(a, b) is their conjugate, so the points
+    # with automorphism rows are closed and hold the generating points. All
+    # 24^4 tables of bijections on 4 points, exhaustively:
     passing = 0
     for table in product(permutations(range(4)), repeat=4):
         if self_distributivity_failures(table, homology._generating_points(table)):

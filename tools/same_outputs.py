@@ -10,11 +10,15 @@ Runs the same commands with each checkout's src/ on PYTHONPATH:
 quandles of orders 3, 4 and 6 and the trivial rack on 2 points, written
 here as rack JSON (seven orbits, so the torsion chain runs across them),
 `census` at (5,5), (5,6), (7,7) and (7,8), `witness --strategy subgroup`
-at (7,8), (13,14) and (31,32), and `witness --strategy exhaustive` at
-(5,5) and (5,6). Last, it runs
+at (7,8), (13,14) and (31,32), `witness --strategy exhaustive` at
+(5,5) and (5,6) and with budget 10 at (7,7), `witness --strategy random
+--budget 20` at (11,11), which runs out of budget, and `census` at
+(11,11) with budget 30, which samples. Last, it runs
 `witness --p 7 --m 8 --cache F` twice with F in a fresh temporary
 directory, and compares the second report, served from the cache, and
-whether the second run logged a cache hit.
+whether the second run logged a cache hit. A command that exits 2
+(budget ran out) is compared by its exit code and its report; any other
+failing command by its exit code and stderr.
 The clock fields (`wall_clock_seconds`, `seconds`, and figures such as
 "0.3s" inside detail strings) are masked. Every difference is printed;
 the exit status is 1 if there is one. Stdlib only.
@@ -61,6 +65,8 @@ def run(checkout, args):
 
 
 def report(proc):
+    if proc.returncode == 2:
+        return {"exit": 2, "report": mask(json.loads(proc.stdout))}
     if proc.returncode:
         return {"exit": proc.returncode, "stderr": proc.stderr}
     return mask(json.loads(proc.stdout))
@@ -106,6 +112,9 @@ def commands(subrack_path, union_path):
         yield ["witness", "--p", str(p), "--m", str(m), "--strategy", "subgroup"]
     for p, m in ((5, 5), (5, 6)):
         yield ["witness", "--p", str(p), "--m", str(m), "--strategy", "exhaustive"]
+    yield ["witness", "--p", "7", "--m", "7", "--strategy", "exhaustive", "--budget", "10"]
+    yield ["witness", "--p", "11", "--m", "11", "--strategy", "random", "--budget", "20"]
+    yield ["census", "--p", "11", "--m", "11", "--budget", "30"]
 
 
 def runs(subrack_path, union_path):
